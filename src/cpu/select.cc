@@ -58,12 +58,17 @@ int64_t SelectPredicated(const float* in, int64_t n, float v, float* out,
                          ThreadPool& pool) {
   return SelectDriver(
       in, n, v, out, pool, CountPredicated,
-      [](const float* src, int64_t len, float cut, float* dst, int64_t) {
+      [](const float* src, int64_t len, float cut, float* dst,
+         int64_t matches) {
+        // The unconditional store writes one slot past the last match, so
+        // stage into a local buffer and copy exactly the claimed range.
+        float buf[kVectorSize];
         int64_t w = 0;
         for (int64_t i = 0; i < len; ++i) {
-          dst[w] = src[i];
+          buf[w] = src[i];
           w += src[i] < cut ? 1 : 0;  // data dependency, no branch
         }
+        std::memcpy(dst, buf, static_cast<size_t>(matches) * sizeof(float));
       });
 }
 

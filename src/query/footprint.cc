@@ -60,7 +60,8 @@ FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads) {
   const int64_t cells = pipe.layout.cells;
 
   if (pipe.scalar()) {
-    // Per-thread partial accumulator vectors; negligible by design.
+    // One one-cell accumulator row per scan thread (the scalar layout's
+    // per-thread grid); negligible by design.
     const int64_t partials = t * slots * 8;
     est.dense_agg_bytes = partials;
     est.sparse_agg_bytes = partials;

@@ -41,16 +41,16 @@ QueryPipeline LowerToPipeline(const QuerySpec& spec,
   }
 
   // Fast-path classification: a lone SUM whose expression is one of the
-  // canonical SSB shapes keeps the specialized kernels.
+  // canonical SSB shapes.
   if (p.agg.plan.slots.size() == 1 &&
       p.agg.plan.slots[0].func == AggFunc::kSum) {
     const Expr& e = p.agg.plan.slots[0].expr;
-    auto view_of = [&](const Expr::Node& n) {
-      return FactColumn(db, n.col).view();
+    auto slot_of = [&](const Expr::Node& n) {
+      return p.agg.col_index[static_cast<int>(n.col)];
     };
     if (e.nodes.size() == 1 && e.root().op == Expr::Op::kCol) {
       p.agg.simple = AggStage::Simple::kColumn;
-      p.agg.a = view_of(e.nodes[0]);
+      p.agg.a = slot_of(e.nodes[0]);
     } else if (e.nodes.size() == 3 && e.nodes[0].op == Expr::Op::kCol &&
                e.nodes[1].op == Expr::Op::kCol &&
                (e.root().op == Expr::Op::kMul ||
@@ -59,8 +59,8 @@ QueryPipeline LowerToPipeline(const QuerySpec& spec,
       p.agg.simple = e.root().op == Expr::Op::kMul
                          ? AggStage::Simple::kProduct
                          : AggStage::Simple::kDifference;
-      p.agg.a = view_of(e.nodes[0]);
-      p.agg.b = view_of(e.nodes[1]);
+      p.agg.a = slot_of(e.nodes[0]);
+      p.agg.b = slot_of(e.nodes[1]);
     }
   }
   return p;

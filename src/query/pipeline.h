@@ -50,10 +50,11 @@ struct ProbeStage {
 /// evaluate each slot's expression per surviving row via EvalExpr with a
 /// getter over `views`; `col_index` maps a FactCol to its view slot.
 ///
-/// The single-SUM shapes the canonical SSB queries use (one sum of col,
-/// col*col, or col-col) are additionally classified as a `simple` fast
-/// path, so the vectorized engine's specialized aggregate kernels — and
-/// their measured performance — survive the generalization unchanged.
+/// A lone SUM of col, col*col or col-col (the canonical SSB shapes) is
+/// additionally classified as `simple`, with `a`/`b` naming its inputs'
+/// view slots, so the vectorized engine can fold it without the
+/// expression interpreter; every other plan takes the general EvalExpr
+/// fold over the same views.
 struct AggStage {
   AggPlan plan;
   std::vector<FactCol> cols;               // distinct expression inputs
@@ -62,8 +63,8 @@ struct AggStage {
 
   enum class Simple { kNone, kColumn, kProduct, kDifference };
   Simple simple = Simple::kNone;
-  storage::ColumnView a;  // simple != kNone: first input column
-  storage::ColumnView b;  // kProduct / kDifference: second input column
+  int a = -1;  // simple != kNone: view slot of the first input
+  int b = -1;  // kProduct / kDifference: view slot of the second input
 };
 
 /// A QuerySpec lowered against one database. Holds pointers into both (and

@@ -30,10 +30,12 @@ constexpr char kOverflowMsg[] =
 
 // Thread-local dense aggregation grids over donated or private scratch,
 // merged after the parallel scan. Each cell holds plan.num_slots()
-// accumulators (cell-major), so a grid is cells x slots values. Only
-// layouts up to kSparseGridCells land here (to 2 MB per thread for
-// single-slot plans — q2.x's ~31K-cell brand grids, q4.2's ~10K cells);
-// larger layouts take the sparse path below. A grid is lazily filled with
+// accumulators (cell-major), so a grid is cells x slots values. A scalar
+// layout is one cell, so a scalar query's per-thread accumulators are a
+// one-cell grid, each thread's own allocation. Only grouped layouts up to
+// query::kDenseGridMaxCells land here (to 2 MB per thread for single-slot
+// plans — q2.x's ~31K-cell brand grids, q4.2's ~10K cells); larger
+// layouts take the sparse path below. A grid is lazily filled with
 // the plan's identities on its thread's first touch of the run (zeroing
 // threads x cells up front is O(threads * cells) serial work), and when
 // the scratch outlives the run (the engine donates its own), repeated
@@ -229,15 +231,11 @@ struct FusedQuery::Impl {
         degraded(was_degraded),
         result_bytes_estimate(result_bytes),
         agg_charge(std::move(charge)),
-        partial(static_cast<size_t>(threads) *
-                    static_cast<size_t>(pipe.agg.plan.num_slots()),
-                0),
         agg(scratch != nullptr ? scratch : &own_scratch, threads,
             sparse ? 1 : pipe.layout.cells, &pipe.agg.plan),
         sparse_grids(!sparse ? 0
                              : (shared_sparse ? 1
                                               : static_cast<size_t>(threads))) {
-    query::FillIdentity(pipe.agg.plan, partial.data(), threads);
     for (SparseGrid& grid : sparse_grids) grid.Bind(&pipe.agg.plan);
     // Packed columns that must materialize per vector (probe keys and
     // aggregate inputs; filters decode in-register inside the fused
@@ -261,12 +259,6 @@ struct FusedQuery::Impl {
     agg_slot.resize(pipe.agg.views.size());
     for (size_t c = 0; c < pipe.agg.views.size(); ++c) {
       agg_slot[c] = slot_for(pipe.agg.views[c]);
-    }
-    if (pipe.agg.simple != query::AggStage::Simple::kNone) {
-      agg_a_slot = slot_for(pipe.agg.a);
-      if (pipe.agg.simple != query::AggStage::Simple::kColumn) {
-        agg_b_slot = slot_for(pipe.agg.b);
-      }
     }
   }
 
@@ -343,13 +335,10 @@ struct FusedQuery::Impl {
   std::vector<std::shared_ptr<const cpu::JoinTable>> tables;
   std::vector<int> probe_slot;
   std::vector<int> agg_slot;  // parallel to pipe.agg.cols/views
-  int agg_a_slot = -1;        // fast path only
-  int agg_b_slot = -1;
-  /// Per-thread scalar accumulators, stride plan.num_slots().
-  std::vector<int64_t> partial;
   /// Private dense-grid scratch, used when no caller-owned scratch was
   /// donated. Must precede `agg`, which captures a reference.
   std::vector<std::vector<int64_t>> own_scratch;
+  /// Per-thread dense grids; one cell per thread for scalar layouts.
   GridAgg agg;
   std::vector<SparseGrid> sparse_grids;
   /// Serializes shared_sparse access to sparse_grids[0]. Degraded-floor
@@ -483,8 +472,6 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
   int32_t group[3][kVector];
   // One kVector slice per distinct packed probe/aggregate column.
   int32_t packed_scratch[query::kNumFactCols][kVector];
-  int64_t* const partial_row = &s.partial[static_cast<size_t>(t) *
-                                          static_cast<size_t>(num_slots)];
   const int32_t* agg_cols[query::kNumFactCols];
   for (int64_t base = begin; base < end; base += kVector) {
     const int n = static_cast<int>(std::min<int64_t>(kVector, end - base));
@@ -562,115 +549,80 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
       }
       return cell;
     };
-    if (simple != query::AggStage::Simple::kNone) {
-      // Single-SUM fast path: the canonical SSB shapes keep their
-      // specialized loops; only the fold into the accumulator is checked
-      // (a 32x32-bit product or difference cannot overflow int64).
-      const int32_t* va = resolve(pipe.agg.a, s.agg_a_slot);
-      const int32_t* vb = simple == query::AggStage::Simple::kColumn
-                              ? va
-                              : resolve(pipe.agg.b, s.agg_b_slot);
-      const auto value_of = [&](int r) -> int64_t {
-        switch (simple) {
-          case query::AggStage::Simple::kColumn:
-            return va[r];
-          case query::AggStage::Simple::kProduct:
-            return static_cast<int64_t>(va[r]) * vb[r];
-          default:
-            return static_cast<int64_t>(va[r]) - vb[r];
+    // Aggregate inputs: every distinct column resolved once per vector.
+    for (size_t c = 0; c < pipe.agg.views.size(); ++c) {
+      agg_cols[c] = resolve(pipe.agg.views[c], s.agg_slot[c]);
+    }
+    // The one aggregation loop: each surviving row folds into the
+    // accumulator row its sink names — the thread's dense grid cell, its
+    // sparse table (the shared table at the degradation floor), or the
+    // thread's one-cell grid for scalar queries. m == n without a
+    // selection vector.
+    const auto aggregate = [&](auto fold) {
+      const auto rows = [&](auto sink) {
+        for (int i = 0; i < m; ++i) {
+          if (!fold(sink(i), have_sel ? sel[i] : i)) return false;
         }
+        return true;
       };
       if (s.scalar) {
-        int64_t sum = partial_row[0];
-        if (have_sel) {
-          for (int i = 0; i < m; ++i) {
-            if (__builtin_add_overflow(sum, value_of(sel[i]), &sum)) {
-              return OutOfRangeError(kOverflowMsg);
-            }
-          }
-        } else {
-          for (int i = 0; i < n; ++i) {
-            if (__builtin_add_overflow(sum, value_of(i), &sum)) {
-              return OutOfRangeError(kOverflowMsg);
-            }
-          }
-        }
-        partial_row[0] = sum;
-      } else if (s.sparse) {
+        int64_t* const acc = s.agg.Row(t, 0);
+        return rows([acc](int) { return acc; });
+      }
+      if (s.sparse) {
         // Degraded floor: every thread funnels into table 0 under the
         // mutex — correctness over speed, by construction.
         std::unique_lock<std::mutex> lock(s.sparse_mu, std::defer_lock);
         if (s.shared_sparse) lock.lock();
         SparseGrid& grid =
             s.sparse_grids[s.shared_sparse ? 0 : static_cast<size_t>(t)];
-        for (int i = 0; i < m; ++i) {
-          int64_t* row = grid.Row(cell_of(i));
-          if (__builtin_add_overflow(row[0], value_of(sel[i]), &row[0])) {
-            return OutOfRangeError(kOverflowMsg);
-          }
-        }
-      } else {
-        for (int i = 0; i < m; ++i) {
-          int64_t* row = s.agg.Row(t, cell_of(i));
-          if (__builtin_add_overflow(row[0], value_of(sel[i]), &row[0])) {
-            return OutOfRangeError(kOverflowMsg);
-          }
-        }
+        return rows([&](int i) { return grid.Row(cell_of(i)); });
       }
-      continue;
-    }
-    // General path: resolve every distinct aggregate input once per
-    // vector, then evaluate each slot's expression per surviving row with
-    // checked 64-bit arithmetic.
-    for (size_t c = 0; c < pipe.agg.views.size(); ++c) {
-      agg_cols[c] = resolve(pipe.agg.views[c], s.agg_slot[c]);
-    }
-    const auto accumulate = [&](int64_t* acc, int row) -> bool {
-      const auto get = [&](query::FactCol col) {
-        return agg_cols[pipe.agg.col_index[static_cast<int>(col)]][row];
-      };
-      for (int sl = 0; sl < num_slots; ++sl) {
-        const query::AggSlot& slot = plan.slots[static_cast<size_t>(sl)];
-        int64_t value = 1;  // counts add 1 per surviving row
-        if (slot.func != query::AggFunc::kCount &&
-            !query::EvalExpr(slot.expr, get, &value)) {
-          return false;
-        }
-        if (!query::AggAccumulate(slot.func, &acc[sl], value)) return false;
-      }
-      return true;
+      return rows([&](int i) { return s.agg.Row(t, cell_of(i)); });
     };
-    if (s.scalar) {
-      if (have_sel) {
-        for (int i = 0; i < m; ++i) {
-          if (!accumulate(partial_row, sel[i])) {
-            return OutOfRangeError(kOverflowMsg);
-          }
+    bool ok;
+    if (simple != query::AggStage::Simple::kNone) {
+      // Single-SUM fast fold: the canonical SSB shapes skip the expression
+      // interpreter; only the add into the accumulator is checked (a
+      // 32x32-bit product or difference cannot overflow int64).
+      const int32_t* va = agg_cols[pipe.agg.a];
+      const int32_t* vb =
+          simple == query::AggStage::Simple::kColumn ? va
+                                                     : agg_cols[pipe.agg.b];
+      ok = aggregate([&](int64_t* acc, int r) {
+        int64_t value;
+        switch (simple) {
+          case query::AggStage::Simple::kColumn:
+            value = va[r];
+            break;
+          case query::AggStage::Simple::kProduct:
+            value = static_cast<int64_t>(va[r]) * vb[r];
+            break;
+          default:
+            value = static_cast<int64_t>(va[r]) - vb[r];
         }
-      } else {
-        for (int i = 0; i < n; ++i) {
-          if (!accumulate(partial_row, i)) {
-            return OutOfRangeError(kOverflowMsg);
-          }
-        }
-      }
-    } else if (s.sparse) {
-      std::unique_lock<std::mutex> lock(s.sparse_mu, std::defer_lock);
-      if (s.shared_sparse) lock.lock();
-      SparseGrid& grid =
-          s.sparse_grids[s.shared_sparse ? 0 : static_cast<size_t>(t)];
-      for (int i = 0; i < m; ++i) {
-        if (!accumulate(grid.Row(cell_of(i)), sel[i])) {
-          return OutOfRangeError(kOverflowMsg);
-        }
-      }
+        return !__builtin_add_overflow(acc[0], value, &acc[0]);
+      });
     } else {
-      for (int i = 0; i < m; ++i) {
-        if (!accumulate(s.agg.Row(t, cell_of(i)), sel[i])) {
-          return OutOfRangeError(kOverflowMsg);
+      // General fold: each slot's expression with checked 64-bit
+      // arithmetic.
+      ok = aggregate([&](int64_t* acc, int r) {
+        const auto get = [&](query::FactCol col) {
+          return agg_cols[pipe.agg.col_index[static_cast<int>(col)]][r];
+        };
+        for (int sl = 0; sl < num_slots; ++sl) {
+          const query::AggSlot& slot = plan.slots[static_cast<size_t>(sl)];
+          int64_t value = 1;  // counts add 1 per surviving row
+          if (slot.func != query::AggFunc::kCount &&
+              !query::EvalExpr(slot.expr, get, &value)) {
+            return false;
+          }
+          if (!query::AggAccumulate(slot.func, &acc[sl], value)) return false;
         }
-      }
+        return true;
+      });
     }
+    if (!ok) return OutOfRangeError(kOverflowMsg);
   }
   return Status();
 }
@@ -697,32 +649,7 @@ StatusOr<QueryResult> FusedQuery::FinishImpl(ThreadPool& pool) {
   const query::AggPlan& plan = s.pipe.agg.plan;
   const int num_slots = plan.num_slots();
   QueryResult r;
-  if (s.scalar) {
-    std::vector<int64_t> acc(static_cast<size_t>(num_slots));
-    query::FillIdentity(plan, acc.data(), 1);
-    const int threads =
-        static_cast<int>(s.partial.size()) / std::max(num_slots, 1);
-    for (int t = 0; t < threads; ++t) {
-      for (int sl = 0; sl < num_slots; ++sl) {
-        if (!query::AggMerge(
-                plan.slots[static_cast<size_t>(sl)].func,
-                &acc[static_cast<size_t>(sl)],
-                s.partial[static_cast<size_t>(t) *
-                              static_cast<size_t>(num_slots) +
-                          static_cast<size_t>(sl)])) {
-          return OutOfRangeError(kOverflowMsg);
-        }
-      }
-    }
-    int64_t emitted[query::kMaxAggSlots];
-    int n = 0;
-    for (int sl = 0; sl < num_slots; ++sl) {
-      if (plan.slots[static_cast<size_t>(sl)].emitted) {
-        emitted[n++] = acc[static_cast<size_t>(sl)];
-      }
-    }
-    r.SetScalars(emitted, n);
-  } else if (s.sparse) {
+  if (s.sparse) {
     for (size_t t = 1; t < s.sparse_grids.size(); ++t) {
       if (!s.sparse_grids[0].Absorb(s.sparse_grids[t])) {
         return OutOfRangeError(kOverflowMsg);
@@ -731,10 +658,21 @@ StatusOr<QueryResult> FusedQuery::FinishImpl(ThreadPool& pool) {
     s.sparse_grids[0].Emit(s.pipe.layout, &r);
     r.num_values = plan.num_emitted;
     r.Normalize();
+    return r;
+  }
+  bool ok = true;
+  const std::vector<int64_t>& grid = s.agg.Merge(pool, &ok);
+  if (!ok) return OutOfRangeError(kOverflowMsg);
+  if (s.scalar) {
+    int64_t emitted[query::kMaxAggSlots];
+    int n = 0;
+    for (int sl = 0; sl < num_slots; ++sl) {
+      if (plan.slots[static_cast<size_t>(sl)].emitted) {
+        emitted[n++] = grid[static_cast<size_t>(sl)];
+      }
+    }
+    r.SetScalars(emitted, n);
   } else {
-    bool ok = true;
-    const std::vector<int64_t>& grid = s.agg.Merge(pool, &ok);
-    if (!ok) return OutOfRangeError(kOverflowMsg);
     EmitDenseGroups(s.pipe.layout, plan, grid.data(), &r);
   }
   return r;

@@ -17,9 +17,13 @@ namespace crystal::ssb {
 /// lowers the spec (query::LowerToPipeline), fetches every build side from
 /// the process-wide cpu::BuildCache, and sizes per-thread aggregation
 /// state; RunMorsel then evaluates the whole plan — SIMD range predicates,
-/// the ordered join-probe cascade, grouped aggregation — over one morsel
-/// on one thread, vector-at-a-time; Finish merges the per-thread state
-/// into the result.
+/// the ordered join-probe cascade, aggregation — over one morsel on one
+/// thread, vector-at-a-time; Finish merges the per-thread state into the
+/// result. Aggregation is one loop over each vector's surviving rows that
+/// folds every row (a fast fold for a lone SUM of col, col*col or col-col;
+/// the general EvalExpr fold otherwise) into the row its sink names: the
+/// thread's dense grid cell, its sparse table, or — scalar queries — the
+/// thread's one-cell grid.
 ///
 /// The single-query engine drives one instance per ParallelForMorsels
 /// pass. The query server's shared scan drives N instances inside *one*

@@ -44,11 +44,26 @@ query::QuerySpec Adhoc(const std::string& text) {
   return spec;
 }
 
+/// A grouped multi-aggregate over the sparse-path layout of q4.3: the
+/// general fold into per-thread (or shared) sparse tables.
+query::QuerySpec SparseMultiAggSpec() {
+  return Adhoc(
+      "sum revenue-supplycost, avg quantity, min discount, max "
+      "extendedprice, count join customer on custkey filter c_region = 1 "
+      "join supplier on suppkey filter s_nation = 9 join part on partkey "
+      "filter p_category = 14 join date on orderdate filter d_year in "
+      "1997..1998 group by d_year, s_city, p_brand1");
+}
+
 /// The specs the parity sweep runs: one per structural shape — scalar
 /// aggregate with fact filters only (q1.1), grouped probe cascade (q2.1),
 /// IN-set build filter (q3.3), the four-table cascade with a sparse-path
 /// grid (q4.3), and an ad-hoc shape carrying two group keys through a
-/// later probe (compaction of carried vectors).
+/// later probe (compaction of carried vectors). Those are all single-SUM
+/// fast-fold shapes; the last four take the general fold into each sink:
+/// a scalar multi-aggregate under fact filters, a scalar expression with
+/// no selection vector at all (no filter, no join), and grouped
+/// multi-aggregates on a dense grid and on sparse tables.
 std::vector<query::QuerySpec> ParitySpecs() {
   return {
       query::SsbSpec(QueryId::kQ11),
@@ -58,6 +73,13 @@ std::vector<query::QuerySpec> ParitySpecs() {
       Adhoc("sum revenue-supplycost join customer on custkey filter "
             "c_region = 3 join part on partkey filter p_mfgr = 5 "
             "group by c_nation, p_category"),
+      Adhoc("avg quantity, min discount, max extendedprice, count "
+            "where orderdate in 19930101..19941231 where discount in 1..3"),
+      Adhoc("sum extendedprice*(100-discount)"),
+      Adhoc("sum revenue, avg quantity, min supplycost, count join "
+            "supplier on suppkey filter s_region = 2 join date on "
+            "orderdate group by s_nation, d_year"),
+      SparseMultiAggSpec(),
   };
 }
 
@@ -444,48 +466,53 @@ TEST(FusedQueryDegradationTest, SharedSparseFloorIsBitIdentical) {
   // The degradation ladder end-to-end: with a budget below the preferred
   // per-thread sparse tables but above the one-shared-table floor, Create
   // must degrade (not fail), and the degraded execution must be
-  // bit-identical to the reference.
+  // bit-identical to the reference — for the single-SUM fast fold (q4.3)
+  // and the general fold (a grouped multi-aggregate) alike.
   DispatchGuard guard;
-  cpu::BuildCache::Process().Clear();
   MemoryBudget& budget = MemoryBudget::Process();
-  ASSERT_EQ(budget.used(), 0);
-  const query::QuerySpec spec = query::SsbSpec(QueryId::kQ43);
-  const int threads = 4;
-  const query::FootprintEstimate estimate =
-      query::EstimateFootprint(query::LowerToPipeline(spec, TestDb()), threads);
-  ASSERT_FALSE(estimate.dense_preferred);  // q4.3 takes the sparse path
-  ASSERT_GT(estimate.sparse_agg_bytes, estimate.shared_agg_bytes);
-  budget.set_limit(estimate.shared_agg_bytes +
-                   (estimate.sparse_agg_bytes - estimate.shared_agg_bytes) / 2);
+  for (const query::QuerySpec& spec :
+       {query::SsbSpec(QueryId::kQ43), SparseMultiAggSpec()}) {
+    SCOPED_TRACE(query::FormatQuerySpec(spec));
+    cpu::BuildCache::Process().Clear();
+    ASSERT_EQ(budget.used(), 0);
+    const int threads = 4;
+    const query::FootprintEstimate estimate = query::EstimateFootprint(
+        query::LowerToPipeline(spec, TestDb()), threads);
+    ASSERT_FALSE(estimate.dense_preferred);  // both take the sparse path
+    ASSERT_GT(estimate.sparse_agg_bytes, estimate.shared_agg_bytes);
+    budget.set_limit(estimate.shared_agg_bytes +
+                     (estimate.sparse_agg_bytes - estimate.shared_agg_bytes) /
+                         2);
 
-  ThreadPool pool(threads);
-  StatusOr<std::unique_ptr<FusedQuery>> fused =
-      FusedQuery::Create(spec, TestDb(), threads, pool);
-  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  EXPECT_TRUE((*fused)->degraded());
-  EXPECT_EQ((*fused)->agg_mode(), FusedQuery::AggMode::kSharedSparse);
-  pool.ParallelForMorsels(TestDb().lo.rows, 1024,
-                          [&](int t, int64_t begin, int64_t end) {
-                            ASSERT_TRUE(
-                                (*fused)->RunMorsel(t, begin, end).ok());
-                          });
-  StatusOr<QueryResult> result = (*fused)->Finish(pool);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(*result == RunReference(TestDb(), spec));
+    ThreadPool pool(threads);
+    StatusOr<std::unique_ptr<FusedQuery>> fused =
+        FusedQuery::Create(spec, TestDb(), threads, pool);
+    ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+    EXPECT_TRUE((*fused)->degraded());
+    EXPECT_EQ((*fused)->agg_mode(), FusedQuery::AggMode::kSharedSparse);
+    pool.ParallelForMorsels(TestDb().lo.rows, 1024,
+                            [&](int t, int64_t begin, int64_t end) {
+                              ASSERT_TRUE(
+                                  (*fused)->RunMorsel(t, begin, end).ok());
+                            });
+    StatusOr<QueryResult> result = (*fused)->Finish(pool);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(*result == RunReference(TestDb(), spec));
 
-  // Below the floor even the shared table cannot be claimed: the ladder
-  // is out of rungs and Create reports resource exhaustion.
-  fused->reset();
-  cpu::BuildCache::Process().Clear();
-  budget.set_limit(1024);
-  const StatusOr<std::unique_ptr<FusedQuery>> too_small =
-      FusedQuery::Create(spec, TestDb(), threads, pool);
-  EXPECT_FALSE(too_small.ok());
-  EXPECT_EQ(too_small.status().code(), StatusCode::kResourceExhausted);
+    // Below the floor even the shared table cannot be claimed: the ladder
+    // is out of rungs and Create reports resource exhaustion.
+    fused->reset();
+    cpu::BuildCache::Process().Clear();
+    budget.set_limit(1024);
+    const StatusOr<std::unique_ptr<FusedQuery>> too_small =
+        FusedQuery::Create(spec, TestDb(), threads, pool);
+    EXPECT_FALSE(too_small.ok());
+    EXPECT_EQ(too_small.status().code(), StatusCode::kResourceExhausted);
 
-  budget.set_limit(0);
-  cpu::BuildCache::Process().Clear();
-  EXPECT_EQ(budget.used(), 0);  // every claim released
+    budget.set_limit(0);
+    cpu::BuildCache::Process().Clear();
+    EXPECT_EQ(budget.used(), 0);  // every claim released
+  }
 }
 
 TEST(BuildJoinTableTest, DirectAndHashRepresentationsAgree) {
