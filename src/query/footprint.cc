@@ -58,11 +58,13 @@ FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads) {
   const int64_t t = std::max(threads, 1);
   const int64_t slots = pipe.agg.plan.num_slots();
   const int64_t cells = pipe.layout.cells;
+  // Every rung runs the aggregate program in per-thread scratch vectors.
+  const int64_t program = t * pipe.agg.num_vectors * kVectorRows * 8;
 
   if (pipe.scalar()) {
     // One one-cell accumulator row per scan thread (the scalar layout's
-    // per-thread grid); negligible by design.
-    const int64_t partials = t * slots * 8;
+    // per-thread grid), plus the program's scratch vectors.
+    const int64_t partials = t * slots * 8 + program;
     est.dense_agg_bytes = partials;
     est.sparse_agg_bytes = partials;
     est.shared_agg_bytes = partials;
@@ -71,9 +73,9 @@ FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads) {
   } else {
     est.dense_preferred = cells <= kDenseGridMaxCells;
     est.dense_agg_bytes =
-        est.dense_preferred ? t * cells * slots * 8 : 0;
-    est.sparse_agg_bytes = t * SparseTableBytes(cells, slots);
-    est.shared_agg_bytes = SparseTableBytes(cells, slots);
+        est.dense_preferred ? t * cells * slots * 8 + program : 0;
+    est.sparse_agg_bytes = t * SparseTableBytes(cells, slots) + program;
+    est.shared_agg_bytes = SparseTableBytes(cells, slots) + program;
     // Emission: keys triple + emitted accumulators per live group, with
     // live groups bounded by the same occupancy model.
     est.result_bytes =

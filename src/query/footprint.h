@@ -25,15 +25,22 @@ struct BuildFootprint {
 
 /// Predicted memory footprint of one lowered pipeline, derived from the
 /// same geometry the execution layer uses: GroupLayout cells x AggPlan
-/// slots for the aggregation state, and the JoinTable span math (direct
-/// span x 4 bytes, or a 50%-fill hash table) for each build side. The
-/// estimate is deliberately conservative — build-side spans are measured
-/// over the unfiltered key column and sparse-table occupancy is bounded,
-/// not sampled — because admission control treats it as a claim, and an
-/// over-claim degrades throughput while an under-claim degrades the
-/// process (docs/ROBUSTNESS.md, "Memory governance").
+/// slots plus the aggregate program's scratch for the aggregation state,
+/// and the JoinTable span math (direct span x 4 bytes, or a 50%-fill hash
+/// table) for each build side. The estimate is deliberately conservative
+/// — build-side spans are measured over the unfiltered key column and
+/// sparse-table occupancy is bounded, not sampled — because admission
+/// control treats it as a claim, and an over-claim degrades throughput
+/// while an under-claim degrades the process (docs/ROBUSTNESS.md, "Memory
+/// governance").
 struct FootprintEstimate {
-  /// Dense per-thread grids across all threads (0 for scalar layouts).
+  /// Aggregation bytes of each rung. Every rung also includes the
+  /// aggregate program's scratch vectors (AggStage::num_vectors x
+  /// kVectorRows x 8 bytes per thread); a scalar layout's rungs are its
+  /// per-thread one-cell grids plus that scratch.
+  ///
+  /// Dense per-thread grids across all threads (0 past
+  /// kDenseGridMaxCells).
   int64_t dense_agg_bytes = 0;
   /// Per-thread sparse tables across all threads (bounded-occupancy model).
   int64_t sparse_agg_bytes = 0;

@@ -45,26 +45,62 @@ struct ProbeStage {
   std::string cache_key;
 };
 
-/// The aggregate stage: the expanded slot plan (PlanAggs) plus the distinct
-/// fact columns its expressions read, resolved to views once. Engines
-/// evaluate each slot's expression per surviving row via EvalExpr with a
-/// getter over `views`; `col_index` maps a FactCol to its view slot.
-///
-/// A lone SUM of col, col*col or col-col (the canonical SSB shapes) is
-/// additionally classified as `simple`, with `a`/`b` naming its inputs'
-/// view slots, so the vectorized engine can fold it without the
-/// expression interpreter; every other plan takes the general EvalExpr
-/// fold over the same views.
+/// Rows per vector: the unit every fused interpreter filters, probes and
+/// aggregates at a time, and the length of an aggregate program's scratch
+/// vectors.
+inline constexpr int kVectorRows = 1024;
+
+/// One operand of an aggregate program op: a scratch vector, or an
+/// immediate constant that is never materialized.
+struct AggOperand {
+  int vec = -1;     // scratch vector index, or -1 for `imm`
+  int64_t imm = 0;  // vec < 0 only
+
+  bool operator==(const AggOperand& o) const {
+    return vec == o.vec && (vec >= 0 || imm == o.imm);
+  }
+};
+
+/// One column operation of an aggregate program, applied to every
+/// surviving row of a vector: widen a fact column into a vector (through
+/// the selection vector when there is one), or combine two operands
+/// lane-wise with 64-bit arithmetic. `checked` ops OR the per-lane
+/// __builtin_*_overflow flags; the lowering clears it when the operands'
+/// magnitude bounds prove the result fits in int64 (any product of two
+/// widened int32 columns, say).
+struct AggOp {
+  enum class Kind : uint8_t { kLoad, kAdd, kSub, kMul };
+  Kind kind = Kind::kLoad;
+  bool checked = true;
+  int dst = 0;   // scratch vector written (may alias an operand)
+  int col = -1;  // kLoad: index into AggStage::views
+  AggOperand a, b;
+};
+
+/// The aggregate stage: the expanded slot plan (PlanAggs), the distinct
+/// fact columns its expressions read (resolved to views once), and every
+/// slot's expression lowered into one straight-line column program.
+/// Engines run `program` over a vector's survivors, then fold
+/// `inputs[s]` into slot s's accumulators. The program loads each
+/// distinct column once and computes each distinct subexpression once
+/// across all slots (the TPC-H Q1 analog's `extendedprice` feeds three
+/// slots from one load); constant subexpressions fold at lowering, and
+/// scratch vectors are reused once their last reader has run, so
+/// `num_vectors` is the peak number live at once.
 struct AggStage {
   AggPlan plan;
   std::vector<FactCol> cols;               // distinct expression inputs
   std::vector<storage::ColumnView> views;  // parallel to cols
-  int col_index[kNumFactCols] = {};        // FactCol -> index in cols, or -1
-
-  enum class Simple { kNone, kColumn, kProduct, kDifference };
-  Simple simple = Simple::kNone;
-  int a = -1;  // simple != kNone: view slot of the first input
-  int b = -1;  // kProduct / kDifference: view slot of the second input
+  std::vector<AggOp> program;
+  std::vector<AggOperand> inputs;  // per slot; a COUNT slot is immediate 1
+  /// Per slot: the largest |value| its input can hold (UINT64_MAX when
+  /// unbounded). A fold whose accumulator has headroom for a whole
+  /// vector of such values cannot overflow, so it may skip per-row checks.
+  std::vector<uint64_t> input_bounds;
+  int num_vectors = 0;             // scratch vectors the program needs
+  /// A constant subexpression overflowed at lowering: every row that
+  /// reaches aggregation overflows, exactly as per-row evaluation would.
+  bool const_overflow = false;
 };
 
 /// A QuerySpec lowered against one database. Holds pointers into both (and

@@ -23,7 +23,7 @@ namespace crystal::ssb {
 
 namespace {
 
-constexpr int kVector = 1024;
+constexpr int kVector = query::kVectorRows;
 
 constexpr char kOverflowMsg[] =
     "aggregate sum overflowed the checked 64-bit accumulator";
@@ -54,8 +54,8 @@ class GridAgg {
     }
   }
 
-  /// The accumulator row of `cell` on `thread` (lazily identity-filled).
-  int64_t* Row(int thread, int64_t cell) {
+  /// `thread`'s grid, cell-major (lazily identity-filled).
+  int64_t* Grid(int thread) {
     auto& grid = grids_[static_cast<size_t>(thread)];
     if (!touched_[static_cast<size_t>(thread)]) {
       grid.resize(static_cast<size_t>(cells_) *
@@ -63,7 +63,7 @@ class GridAgg {
       query::FillIdentity(*plan_, grid.data(), cells_);
       touched_[static_cast<size_t>(thread)] = 1;
     }
-    return grid.data() + cell * plan_->num_slots();
+    return grid.data();
   }
 
   /// Merges all touched thread grids into grid 0 (cell-striped across the
@@ -123,38 +123,39 @@ class SparseGrid {
 
   void Bind(const query::AggPlan* plan) { plan_ = plan; }
 
-  /// The accumulator row of `cell` (inserted identity-filled on first
-  /// touch). Values live in a side pool, so growth rehashes only the
-  /// fixed-size slots.
-  int64_t* Row(int64_t cell) {
+  /// Offset of `cell`'s accumulator row in values() (inserted
+  /// identity-filled on first touch). Values live in a side pool, so
+  /// growth rehashes only the fixed-size slots — but the pool itself may
+  /// move, so callers hold offsets, not pointers, across insertions.
+  int64_t Offset(int64_t cell) {
     if (2 * (count_ + 1) > static_cast<int64_t>(slots_.size())) Grow();
     const int slots = plan_->num_slots();
     const size_t mask = slots_.size() - 1;
     size_t s = Hash(cell) & mask;
     for (;;) {
       Slot& slot = slots_[s];
-      if (slot.cell == cell) {
-        return &values_[static_cast<size_t>(slot.index)];
-      }
+      if (slot.cell == cell) return slot.index;
       if (slot.cell == kEmpty) {
         slot.cell = cell;
         slot.index = static_cast<int64_t>(values_.size());
         values_.resize(values_.size() + static_cast<size_t>(slots));
-        int64_t* row = &values_[static_cast<size_t>(slot.index)];
-        query::FillIdentity(*plan_, row, 1);
+        query::FillIdentity(*plan_, &values_[static_cast<size_t>(slot.index)],
+                            1);
         ++count_;
-        return row;
+        return slot.index;
       }
       s = (s + 1) & mask;
     }
   }
+
+  int64_t* values() { return values_.data(); }
 
   /// Folds `other`'s entries into this table; false on merge overflow.
   bool Absorb(const SparseGrid& other) {
     const int slots = plan_->num_slots();
     for (const Slot& slot : other.slots_) {
       if (slot.cell == kEmpty) continue;
-      int64_t* dst = Row(slot.cell);
+      int64_t* dst = &values_[static_cast<size_t>(Offset(slot.cell))];
       const int64_t* src = &other.values_[static_cast<size_t>(slot.index)];
       for (int s = 0; s < slots; ++s) {
         if (!query::AggMerge(plan_->slots[static_cast<size_t>(s)].func,
@@ -212,6 +213,129 @@ class SparseGrid {
   int64_t count_ = 0;
 };
 
+// ------------------------------------------------ aggregate programs
+//
+// The aggregation stage of a vector runs column-at-a-time over its m
+// surviving rows: the lowered program (query::AggStage) fills int64
+// scratch vectors with every slot's input, then each slot folds its input
+// into the accumulators in one tight loop. Every accumulator sees its
+// rows' values in row order and every add that could overflow is checked,
+// so results and overflow diagnostics match per-row evaluation (the
+// reference interpreter) bit for bit.
+
+/// One lane-wise binary op over m lanes; `f(x, y, &out)` returns true on
+/// overflow, and the flags are ORed. Immediates stay in a register.
+template <typename F>
+bool Lanes(const query::AggOp& op, int64_t* vecs, int m, F f) {
+  const auto vec = [vecs](int v) {
+    return vecs + static_cast<ptrdiff_t>(v) * kVector;
+  };
+  int64_t* d = vec(op.dst);
+  bool overflow = false;
+  if (op.a.vec >= 0 && op.b.vec >= 0) {
+    const int64_t* a = vec(op.a.vec);
+    const int64_t* b = vec(op.b.vec);
+    for (int i = 0; i < m; ++i) overflow |= f(a[i], b[i], &d[i]);
+  } else if (op.a.vec >= 0) {
+    const int64_t* a = vec(op.a.vec);
+    const int64_t b = op.b.imm;
+    for (int i = 0; i < m; ++i) overflow |= f(a[i], b, &d[i]);
+  } else {
+    const int64_t a = op.a.imm;
+    const int64_t* b = vec(op.b.vec);
+    for (int i = 0; i < m; ++i) overflow |= f(a, b[i], &d[i]);
+  }
+  return !overflow;
+}
+
+/// Runs one arithmetic op; false on overflow. Unchecked ops are the ones
+/// the lowering proved cannot overflow, so they vectorize plainly.
+bool RunArith(const query::AggOp& op, int64_t* vecs, int m) {
+  using Kind = query::AggOp::Kind;
+  if (!op.checked) {
+    switch (op.kind) {
+      case Kind::kAdd:
+        return Lanes(op, vecs, m, [](int64_t x, int64_t y, int64_t* r) {
+          *r = x + y;
+          return false;
+        });
+      case Kind::kSub:
+        return Lanes(op, vecs, m, [](int64_t x, int64_t y, int64_t* r) {
+          *r = x - y;
+          return false;
+        });
+      default:
+        return Lanes(op, vecs, m, [](int64_t x, int64_t y, int64_t* r) {
+          *r = x * y;
+          return false;
+        });
+    }
+  }
+  switch (op.kind) {
+    case Kind::kAdd:
+      return Lanes(op, vecs, m, [](int64_t x, int64_t y, int64_t* r) {
+        return __builtin_add_overflow(x, y, r);
+      });
+    case Kind::kSub:
+      return Lanes(op, vecs, m, [](int64_t x, int64_t y, int64_t* r) {
+        return __builtin_sub_overflow(x, y, r);
+      });
+    default:
+      return Lanes(op, vecs, m, [](int64_t x, int64_t y, int64_t* r) {
+        return __builtin_mul_overflow(x, y, r);
+      });
+  }
+}
+
+/// Folds `value(i)` of every survivor into its accumulator: acc[off[i]]
+/// for grouped sinks, or — off == nullptr, scalar queries — the single
+/// *acc, kept in a register across the loop.
+template <typename Value, typename Step>
+bool FoldRows(int64_t* acc, const int64_t* off, int m, Value value,
+              Step step) {
+  bool overflow = false;
+  if (off == nullptr) {
+    int64_t a = *acc;
+    for (int i = 0; i < m; ++i) overflow |= step(&a, value(i));
+    *acc = a;
+  } else {
+    for (int i = 0; i < m; ++i) overflow |= step(&acc[off[i]], value(i));
+  }
+  return !overflow;
+}
+
+/// One slot's accumulate loop: SUM and COUNT add, MIN and MAX compare.
+/// `checked` adds OR the per-row overflow flags; callers clear it only
+/// when no partial sum can leave int64 (see Impl::Run). False on
+/// accumulator overflow.
+template <typename Value>
+bool FoldSlot(query::AggFunc func, bool checked, int64_t* acc,
+              const int64_t* off, int m, Value value) {
+  switch (func) {
+    case query::AggFunc::kSum:
+    case query::AggFunc::kCount:
+      if (!checked) {
+        return FoldRows(acc, off, m, value, [](int64_t* a, int64_t x) {
+          *a += x;
+          return false;
+        });
+      }
+      return FoldRows(acc, off, m, value, [](int64_t* a, int64_t x) {
+        return __builtin_add_overflow(*a, x, a);
+      });
+    case query::AggFunc::kMin:
+      return FoldRows(acc, off, m, value, [](int64_t* a, int64_t x) {
+        if (x < *a) *a = x;
+        return false;
+      });
+    default:
+      return FoldRows(acc, off, m, value, [](int64_t* a, int64_t x) {
+        if (x > *a) *a = x;
+        return false;
+      });
+  }
+}
+
 }  // namespace
 
 struct FusedQuery::Impl {
@@ -235,7 +359,11 @@ struct FusedQuery::Impl {
             sparse ? 1 : pipe.layout.cells, &pipe.agg.plan),
         sparse_grids(!sparse ? 0
                              : (shared_sparse ? 1
-                                              : static_cast<size_t>(threads))) {
+                                              : static_cast<size_t>(threads))),
+        per_thread(static_cast<size_t>(threads)) {
+    for (ThreadState& state : per_thread) {
+      state.vecs.resize(static_cast<size_t>(pipe.agg.num_vectors) * kVector);
+    }
     for (SparseGrid& grid : sparse_grids) grid.Bind(&pipe.agg.plan);
     // Packed columns that must materialize per vector (probe keys and
     // aggregate inputs; filters decode in-register inside the fused
@@ -344,6 +472,17 @@ struct FusedQuery::Impl {
   /// Serializes shared_sparse access to sparse_grids[0]. Degraded-floor
   /// only — per-thread rungs never touch it.
   std::mutex sparse_mu;
+  /// One scan thread's aggregation state beside its grid or table.
+  struct alignas(64) ThreadState {
+    /// The aggregate program's scratch vectors (pipe.agg.num_vectors x
+    /// kVector; EstimateFootprint charges them).
+    std::vector<int64_t> vecs;
+    /// Rows this thread has folded into its own sink so far: with every
+    /// SUM/COUNT accumulator starting at 0, (rows + m) x a slot's input
+    /// bound caps every partial sum the next vector can produce.
+    int64_t rows = 0;
+  };
+  std::vector<ThreadState> per_thread;
 
   /// Failure latch: set by the first failing RunMorsel, read (relaxed) on
   /// every later morsel to short-circuit a doomed member's remaining
@@ -463,16 +602,18 @@ Status FusedQuery::RunMorsel(int t, int64_t begin, int64_t end) {
 Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
   Impl& s = *this;
   const query::QueryPipeline& pipe = s.pipe;
-  const query::AggPlan& plan = pipe.agg.plan;
+  const query::AggStage& stage = pipe.agg;
+  const query::AggPlan& plan = stage.plan;
   const int num_slots = plan.num_slots();
-  const query::AggStage::Simple simple = pipe.agg.simple;
   const query::GroupLayout& layout = pipe.layout;
   int32_t sel[kVector];
   int32_t pos[kVector];
   int32_t group[3][kVector];
   // One kVector slice per distinct packed probe/aggregate column.
   int32_t packed_scratch[query::kNumFactCols][kVector];
-  const int32_t* agg_cols[query::kNumFactCols];
+  int64_t off[kVector];
+  ThreadState& state = s.per_thread[static_cast<size_t>(t)];
+  int64_t* const vecs = state.vecs.data();
   for (int64_t base = begin; base < end; base += kVector) {
     const int n = static_cast<int>(std::min<int64_t>(kVector, end - base));
     // Fact predicates: the first fills the selection vector, the rest
@@ -549,79 +690,72 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
       }
       return cell;
     };
-    // Aggregate inputs: every distinct column resolved once per vector.
-    for (size_t c = 0; c < pipe.agg.views.size(); ++c) {
-      agg_cols[c] = resolve(pipe.agg.views[c], s.agg_slot[c]);
+    if (m == 0) continue;
+    if (stage.const_overflow) return OutOfRangeError(kOverflowMsg);
+    // Slot inputs, column-at-a-time over the survivors: every aggregate
+    // column is resolved and widened once, every distinct subexpression
+    // computed once. Only filter/probe survivors are ever evaluated.
+    const int32_t* const row_sel = have_sel ? sel : nullptr;
+    for (const query::AggOp& op : stage.program) {
+      if (op.kind != query::AggOp::Kind::kLoad) {
+        if (!RunArith(op, vecs, m)) return OutOfRangeError(kOverflowMsg);
+        continue;
+      }
+      const int32_t* col = resolve(stage.views[static_cast<size_t>(op.col)],
+                                   s.agg_slot[static_cast<size_t>(op.col)]);
+      int64_t* d = vecs + static_cast<ptrdiff_t>(op.dst) * kVector;
+      if (row_sel != nullptr) {
+        for (int i = 0; i < m; ++i) d[i] = col[row_sel[i]];
+      } else {
+        for (int i = 0; i < m; ++i) d[i] = col[i];
+      }
     }
-    // The one aggregation loop: each surviving row folds into the
-    // accumulator row its sink names — the thread's dense grid cell, its
-    // sparse table (the shared table at the degradation floor), or the
-    // thread's one-cell grid for scalar queries. m == n without a
-    // selection vector.
-    const auto aggregate = [&](auto fold) {
-      const auto rows = [&](auto sink) {
-        for (int i = 0; i < m; ++i) {
-          if (!fold(sink(i), have_sel ? sel[i] : i)) return false;
-        }
-        return true;
-      };
-      if (s.scalar) {
-        int64_t* const acc = s.agg.Row(t, 0);
-        return rows([acc](int) { return acc; });
-      }
-      if (s.sparse) {
-        // Degraded floor: every thread funnels into table 0 under the
-        // mutex — correctness over speed, by construction.
-        std::unique_lock<std::mutex> lock(s.sparse_mu, std::defer_lock);
-        if (s.shared_sparse) lock.lock();
-        SparseGrid& grid =
-            s.sparse_grids[s.shared_sparse ? 0 : static_cast<size_t>(t)];
-        return rows([&](int i) { return grid.Row(cell_of(i)); });
-      }
-      return rows([&](int i) { return s.agg.Row(t, cell_of(i)); });
-    };
-    bool ok;
-    if (simple != query::AggStage::Simple::kNone) {
-      // Single-SUM fast fold: the canonical SSB shapes skip the expression
-      // interpreter; only the add into the accumulator is checked (a
-      // 32x32-bit product or difference cannot overflow int64).
-      const int32_t* va = agg_cols[pipe.agg.a];
-      const int32_t* vb =
-          simple == query::AggStage::Simple::kColumn ? va
-                                                     : agg_cols[pipe.agg.b];
-      ok = aggregate([&](int64_t* acc, int r) {
-        int64_t value;
-        switch (simple) {
-          case query::AggStage::Simple::kColumn:
-            value = va[r];
-            break;
-          case query::AggStage::Simple::kProduct:
-            value = static_cast<int64_t>(va[r]) * vb[r];
-            break;
-          default:
-            value = static_cast<int64_t>(va[r]) - vb[r];
-        }
-        return !__builtin_add_overflow(acc[0], value, &acc[0]);
-      });
+    // Sink pass: each survivor's accumulator-row offset, once per vector —
+    // a dense grid cell, a sparse-table pool offset (the shared table is
+    // locked through this pass and the folds), or none for scalar
+    // queries, which accumulate into the thread's one-cell grid.
+    std::unique_lock<std::mutex> lock(s.sparse_mu, std::defer_lock);
+    int64_t* acc;
+    const int64_t* offsets = nullptr;
+    if (s.scalar) {
+      acc = s.agg.Grid(t);
+    } else if (s.sparse) {
+      if (s.shared_sparse) lock.lock();
+      SparseGrid& grid =
+          s.sparse_grids[s.shared_sparse ? 0 : static_cast<size_t>(t)];
+      for (int i = 0; i < m; ++i) off[i] = grid.Offset(cell_of(i));
+      acc = grid.values();
+      offsets = off;
     } else {
-      // General fold: each slot's expression with checked 64-bit
-      // arithmetic.
-      ok = aggregate([&](int64_t* acc, int r) {
-        const auto get = [&](query::FactCol col) {
-          return agg_cols[pipe.agg.col_index[static_cast<int>(col)]][r];
-        };
-        for (int sl = 0; sl < num_slots; ++sl) {
-          const query::AggSlot& slot = plan.slots[static_cast<size_t>(sl)];
-          int64_t value = 1;  // counts add 1 per surviving row
-          if (slot.func != query::AggFunc::kCount &&
-              !query::EvalExpr(slot.expr, get, &value)) {
-            return false;
-          }
-          if (!query::AggAccumulate(slot.func, &acc[sl], value)) return false;
-        }
-        return true;
-      });
+      acc = s.agg.Grid(t);
+      for (int i = 0; i < m; ++i) off[i] = cell_of(i) * num_slots;
+      offsets = off;
     }
+    // Per-slot accumulate loops. A slot's adds skip the per-row overflow
+    // check when even m more rows at its input bound cannot take any
+    // accumulator of this thread's private sink out of int64 — the
+    // results are the same, the loop vectorizes. The shared table at the
+    // degradation floor is fed by every thread, so it always checks.
+    bool ok = true;
+    for (int sl = 0; sl < num_slots && ok; ++sl) {
+      const query::AggFunc func = plan.slots[static_cast<size_t>(sl)].func;
+      const query::AggOperand& in = stage.inputs[static_cast<size_t>(sl)];
+      const uint64_t bound = stage.input_bounds[static_cast<size_t>(sl)];
+      const bool checked =
+          s.shared_sparse ||
+          (bound > 0 && static_cast<uint64_t>(state.rows + m) >
+                            static_cast<uint64_t>(INT64_MAX) / bound);
+      if (in.vec >= 0) {
+        const int64_t* v = vecs + static_cast<ptrdiff_t>(in.vec) * kVector;
+        ok = FoldSlot(func, checked, acc + sl, offsets, m,
+                      [v](int i) { return v[i]; });
+      } else {
+        const int64_t imm = in.imm;
+        ok = FoldSlot(func, checked, acc + sl, offsets, m,
+                      [imm](int) { return imm; });
+      }
+    }
+    state.rows += m;
     if (!ok) return OutOfRangeError(kOverflowMsg);
   }
   return Status();

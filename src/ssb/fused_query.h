@@ -19,11 +19,13 @@ namespace crystal::ssb {
 /// state; RunMorsel then evaluates the whole plan — SIMD range predicates,
 /// the ordered join-probe cascade, aggregation — over one morsel on one
 /// thread, vector-at-a-time; Finish merges the per-thread state into the
-/// result. Aggregation is one loop over each vector's surviving rows that
-/// folds every row (a fast fold for a lone SUM of col, col*col or col-col;
-/// the general EvalExpr fold otherwise) into the row its sink names: the
-/// thread's dense grid cell, its sparse table, or — scalar queries — the
-/// thread's one-cell grid.
+/// result. Aggregation is column-at-a-time too: the lowered aggregate
+/// program (query::AggStage) computes every slot's input over the
+/// vector's survivors in per-thread scratch vectors, a sink pass resolves
+/// each survivor's accumulator-row offset once (the thread's dense grid
+/// cell, its sparse table's pool offset, or — scalar queries — the
+/// thread's one-cell grid), and then each slot folds its input in its own
+/// loop.
 ///
 /// The single-query engine drives one instance per ParallelForMorsels
 /// pass. The query server's shared scan drives N instances inside *one*

@@ -21,6 +21,7 @@
 #include "query/footprint.h"
 #include "query/parser.h"
 #include "query/pipeline.h"
+#include "query/ssb_specs.h"
 #include "ssb/datagen.h"
 #include "ssb/fused_query.h"
 #include "ssb/queries.h"
@@ -55,15 +56,28 @@ query::QuerySpec SparseMultiAggSpec() {
       "1997..1998 group by d_year, s_city, p_brand1");
 }
 
+/// One SUM over an expression of exactly query::kMaxExprNodes nodes (16
+/// leaves, 15 operators), mixing columns and constants on either side and
+/// reading quantity and discount from several subexpressions.
+query::QuerySpec MaxNodesSpec() {
+  return Adhoc(
+      "sum (quantity+1)*(discount+2)+(extendedprice-discount)*3+revenue-"
+      "supplycost+quantity*discount*4+orderdate-19920101+custkey*5 "
+      "where quantity in 1..40");
+}
+
 /// The specs the parity sweep runs: one per structural shape — scalar
 /// aggregate with fact filters only (q1.1), grouped probe cascade (q2.1),
 /// IN-set build filter (q3.3), the four-table cascade with a sparse-path
 /// grid (q4.3), and an ad-hoc shape carrying two group keys through a
-/// later probe (compaction of carried vectors). Those are all single-SUM
-/// fast-fold shapes; the last four take the general fold into each sink:
-/// a scalar multi-aggregate under fact filters, a scalar expression with
-/// no selection vector at all (no filter, no join), and grouped
-/// multi-aggregates on a dense grid and on sparse tables.
+/// later probe (compaction of carried vectors). Those are single-SUM
+/// shapes; the rest are multi-aggregate and expression shapes: a scalar
+/// multi-aggregate under fact filters, a scalar expression with no
+/// selection vector at all (no filter, no join), grouped multi-aggregates
+/// on a dense grid and on sparse tables, the TPC-H Q1 analog (one column
+/// shared by three slots, a constant on an operator's left), right-hand
+/// constants beside a MAX over a deep product, and an expression of the
+/// maximum size. Every aggregate program shape runs on every sink.
 std::vector<query::QuerySpec> ParitySpecs() {
   return {
       query::SsbSpec(QueryId::kQ11),
@@ -80,7 +94,19 @@ std::vector<query::QuerySpec> ParitySpecs() {
             "supplier on suppkey filter s_region = 2 join date on "
             "orderdate group by s_nation, d_year"),
       SparseMultiAggSpec(),
+      query::TpchQ1Analog(),
+      Adhoc("sum discount*3+7, max extendedprice*extendedprice*"
+            "extendedprice*quantity join supplier on suppkey filter "
+            "s_region = 1 group by s_nation"),
+      MaxNodesSpec(),
   };
+}
+
+TEST(AggProgramTest, MaxNodesSpecIsAtTheExpressionCap) {
+  const query::QuerySpec spec = MaxNodesSpec();
+  ASSERT_EQ(spec.aggs.size(), 1u);
+  EXPECT_EQ(spec.aggs[0].expr.nodes.size(),
+            static_cast<size_t>(query::kMaxExprNodes));
 }
 
 /// Restores SIMD + direct-join dispatch state (and drops cached tables
@@ -513,6 +539,204 @@ TEST(FusedQueryDegradationTest, SharedSparseFloorIsBitIdentical) {
     cpu::BuildCache::Process().Clear();
     EXPECT_EQ(budget.used(), 0);  // every claim released
   }
+}
+
+// --------------------------------------------------------------- overflow
+//
+// The reference interpreter aborts on overflow, so these assert the fused
+// engine's status instead of comparing against a reference answer.
+
+/// SF1 dimensions over a 60K-row fact sample in either storage encoding:
+/// twice the parity sample, so every d_year group's sum of
+/// extendedprice^3 * quantity leaves int64 (at 30K rows the groups stay
+/// just inside it). extendedprice tops out near 60 000, and
+/// extendedprice^4 leaves int64 above 55 108.
+const Database& OverflowDb(bool packed) {
+  static const Database* plain = new Database(Generate(1, 100));
+  static const Database* bitpacked = [] {
+    DatagenOptions options;
+    options.scale_factor = 1;
+    options.fact_divisor = 100;
+    options.storage.encoding = storage::Encoding::kPacked;
+    return new Database(Generate(options));
+  }();
+  return packed ? *bitpacked : *plain;
+}
+
+constexpr char kOverflowMsg[] =
+    "aggregate sum overflowed the checked 64-bit accumulator";
+
+/// Runs `spec` through FusedQuery over `db` on two threads in morsels of
+/// `morsel` rows, and returns Finish's result or first error.
+StatusOr<QueryResult> RunFused(const query::QuerySpec& spec,
+                               const Database& db, int64_t morsel) {
+  ThreadPool pool(2);
+  StatusOr<std::unique_ptr<FusedQuery>> fused =
+      FusedQuery::Create(spec, db, pool.num_threads(), pool);
+  if (!fused.ok()) return fused.status();
+  pool.ParallelForMorsels(db.lo.rows, morsel,
+                          [&](int t, int64_t begin, int64_t end) {
+                            (*fused)->RunMorsel(t, begin, end);
+                          });
+  return (*fused)->Finish(pool);
+}
+
+struct OverflowParam {
+  bool packed;
+  bool simd;
+  int64_t morsel;
+};
+
+class FusedOverflowTest : public testing::TestWithParam<OverflowParam> {
+ protected:
+  void SetUp() override {
+    if (GetParam().simd && !cpu::SimdAvailable()) {
+      GTEST_SKIP() << "no AVX2 host";
+    }
+    cpu::SetSimdEnabled(GetParam().simd);
+    cpu::BuildCache::Process().Clear();
+  }
+
+  const Database& db() const { return OverflowDb(GetParam().packed); }
+
+  void ExpectOverflow(const std::string& text) {
+    SCOPED_TRACE(text);
+    const StatusOr<QueryResult> result =
+        RunFused(Adhoc(text), db(), GetParam().morsel);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(result.status().message(), kOverflowMsg);
+  }
+
+  DispatchGuard guard_;
+};
+
+TEST_P(FusedOverflowTest, ExpressionOverflowFailsTheQuery) {
+  // Rows above extendedprice 55 108 overflow the expression itself; MAX
+  // cannot overflow its accumulator, so only the program's check fires.
+  ExpectOverflow("sum extendedprice*extendedprice*extendedprice*"
+                 "extendedprice");
+  ExpectOverflow("max extendedprice*extendedprice*extendedprice*"
+                 "extendedprice");
+  // A constant subexpression that overflows fails every evaluated row.
+  ExpectOverflow("sum quantity*(2000000000*2000000000*4)");
+}
+
+TEST_P(FusedOverflowTest, FilteredRowsAreNeverEvaluated) {
+  // The same expression succeeds once the filter removes every row that
+  // would overflow it. (A SUM of it would overflow its accumulator within
+  // a few rows, so MIN/MAX/COUNT carry the check.)
+  const query::QuerySpec spec = Adhoc(
+      "max extendedprice*extendedprice*extendedprice*extendedprice, "
+      "min extendedprice*extendedprice*extendedprice*extendedprice, count "
+      "where extendedprice in 1..50000");
+  const StatusOr<QueryResult> result =
+      RunFused(spec, db(), GetParam().morsel);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(*result == RunReference(db(), spec));
+}
+
+TEST_P(FusedOverflowTest, AccumulatorOverflowFailsTheQuery) {
+  // Every row's value fits (extendedprice^3 * quantity < 1.1e16); the
+  // sums do not, scalar or per d_year group.
+  ExpectOverflow("sum extendedprice*extendedprice*extendedprice*quantity");
+  ExpectOverflow(
+      "sum extendedprice*extendedprice*extendedprice*quantity join date on "
+      "orderdate group by d_year");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StorageSimdMorsel, FusedOverflowTest,
+    testing::ValuesIn(std::vector<OverflowParam>{
+        {false, true, 7},
+        {false, true, 4096},
+        {false, false, 7},
+        {false, false, 4096},
+        {true, true, 7},
+        {true, true, 4096},
+        {true, false, 7},
+        {true, false, 4096},
+    }),
+    [](const testing::TestParamInfo<OverflowParam>& info) {
+      return std::string(info.param.packed ? "packed" : "plain") +
+             (info.param.simd ? "_simd" : "_scalar") + "_morsel" +
+             std::to_string(info.param.morsel);
+    });
+
+// ------------------------------------------------------------- footprint
+
+TEST(FootprintTest, AggregationBytesIncludeProgramScratch) {
+  // The TPC-H Q1 analog: eight slots over a dense d_year grid whose
+  // program keeps several vectors live. Every rung's aggregation bytes are
+  // the grid or table model plus the program's per-thread scratch, and
+  // Create charges exactly the preferred rung's bytes.
+  DispatchGuard guard;
+  cpu::BuildCache::Process().Clear();
+  MemoryBudget& budget = MemoryBudget::Process();
+  ASSERT_EQ(budget.used(), 0);
+  const query::QuerySpec spec = query::TpchQ1Analog();
+  const int threads = 3;
+  const query::QueryPipeline pipe = query::LowerToPipeline(spec, TestDb());
+  const int64_t slots = pipe.agg.plan.num_slots();
+  ASSERT_GT(slots, 1);
+  ASSERT_GT(pipe.agg.num_vectors, 1);
+  const int64_t scratch =
+      int64_t{threads} * pipe.agg.num_vectors * query::kVectorRows * 8;
+
+  const query::FootprintEstimate est =
+      query::EstimateFootprint(pipe, threads);
+  ASSERT_TRUE(est.dense_preferred);
+  EXPECT_EQ(est.dense_agg_bytes,
+            threads * pipe.layout.cells * slots * 8 + scratch);
+  EXPECT_GT(est.sparse_agg_bytes, scratch);
+  EXPECT_GT(est.shared_agg_bytes, scratch);
+
+  // A scalar spec's rungs are its one-cell grids plus the scratch.
+  const query::QueryPipeline scalar = query::LowerToPipeline(
+      Adhoc("sum extendedprice*(100-discount), avg quantity"), TestDb());
+  const query::FootprintEstimate scalar_est =
+      query::EstimateFootprint(scalar, threads);
+  const int64_t scalar_bytes =
+      threads * scalar.agg.plan.num_slots() * 8 +
+      int64_t{threads} * scalar.agg.num_vectors * query::kVectorRows * 8;
+  EXPECT_EQ(scalar_est.dense_agg_bytes, scalar_bytes);
+  EXPECT_EQ(scalar_est.sparse_agg_bytes, scalar_bytes);
+  EXPECT_EQ(scalar_est.shared_agg_bytes, scalar_bytes);
+
+  ThreadPool pool(threads);
+  {
+    StatusOr<std::unique_ptr<FusedQuery>> fused =
+        FusedQuery::Create(spec, TestDb(), threads, pool);
+    ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+    EXPECT_EQ(budget.used(MemCategory::kAggScratch), est.dense_agg_bytes);
+  }
+  EXPECT_EQ(budget.used(MemCategory::kAggScratch), 0);
+}
+
+TEST(AggProgramTest, SharedColumnsAndSubexpressionsLowerOnce) {
+  // The Q1 analog reads quantity, extendedprice and discount across
+  // eight slots: one load each, one subtract and one multiply, and
+  // extendedprice*(100-discount) fits int64 without a check.
+  const query::QueryPipeline pipe =
+      query::LowerToPipeline(query::TpchQ1Analog(), TestDb());
+  int loads = 0;
+  int arith = 0;
+  for (const query::AggOp& op : pipe.agg.program) {
+    if (op.kind == query::AggOp::Kind::kLoad) {
+      ++loads;
+    } else {
+      ++arith;
+      EXPECT_FALSE(op.checked);
+    }
+  }
+  EXPECT_EQ(loads, 3);
+  EXPECT_EQ(arith, 2);
+  EXPECT_FALSE(pipe.agg.const_overflow);
+
+  // A constant subexpression that overflows is folded once and flagged.
+  const query::QueryPipeline folded = query::LowerToPipeline(
+      Adhoc("sum quantity*(2000000000*2000000000*4)"), TestDb());
+  EXPECT_TRUE(folded.agg.const_overflow);
 }
 
 TEST(BuildJoinTableTest, DirectAndHashRepresentationsAgree) {

@@ -325,6 +325,41 @@ TEST(QueryServerTest, MorselFaultFailsOnlyThatExecution) {
   EXPECT_TRUE(ok.result == ssb::RunReference(TestDb(), fine_spec));
 }
 
+TEST(QueryServerTest, OverflowFailsOnlyThatBatchMember) {
+  // An overflowing aggregate shares one scan with q1.1: the overflowing
+  // member completes as a non-retryable error (its input will overflow
+  // again), and q1.1's answer is bit-identical to its solo run.
+  DispatchGuard guard;
+  ServerOptions options;
+  options.start_paused = true;
+  options.threads = 2;
+  QueryServer server(options);
+  server.AddDatabase("db", &TestDb());
+
+  const query::QuerySpec overflow_spec = Adhoc(
+      "sum extendedprice*extendedprice*extendedprice*extendedprice");
+  const query::QuerySpec fine_spec = query::SsbSpec(ssb::QueryId::kQ11);
+  auto doomed = server.Submit(overflow_spec);
+  auto fine = server.Submit(fine_spec);
+  server.Resume();
+
+  const QueryOutcome failed = doomed.get();
+  EXPECT_EQ(failed.status, QueryOutcome::Status::kError);
+  EXPECT_NE(failed.error.find("kOutOfRange"), std::string::npos)
+      << failed.error;
+  EXPECT_FALSE(failed.retryable);
+  const QueryOutcome ok = fine.get();
+  ASSERT_EQ(ok.status, QueryOutcome::Status::kOk) << ok.error;
+  EXPECT_EQ(ok.batch_size, 2);
+  EXPECT_TRUE(ok.shared_scan);
+
+  const QueryOutcome solo = server.ExecuteSync(fine_spec);
+  ASSERT_EQ(solo.status, QueryOutcome::Status::kOk) << solo.error;
+  EXPECT_EQ(solo.batch_size, 1);
+  EXPECT_TRUE(ok.result == solo.result);
+  EXPECT_TRUE(ok.result == ssb::RunReference(TestDb(), fine_spec));
+}
+
 TEST(QueryServerTest, RejectionsCarryTheRetryContract) {
   DispatchGuard guard;
   ServerOptions options;
