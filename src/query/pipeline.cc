@@ -170,12 +170,13 @@ QueryPipeline LowerToPipeline(const QuerySpec& spec,
 
   p.filters.reserve(spec.fact_filters.size());
   for (const FactFilter& f : spec.fact_filters) {
-    p.filters.push_back({FactColumn(db, f.col).view(), f.lo, f.hi});
+    p.filters.push_back({f.col, FactColumn(db, f.col).view(), f.lo, f.hi});
   }
   p.probes.reserve(spec.joins.size());
   for (size_t j = 0; j < spec.joins.size(); ++j) {
     ProbeStage stage;
-    stage.fact_keys = FactColumn(db, spec.joins[j].fact_key).view();
+    stage.fact_key = spec.joins[j].fact_key;
+    stage.fact_keys = FactColumn(db, stage.fact_key).view();
     stage.join_index = static_cast<int>(j);
     stage.group_slot = p.plan.join_payload[j];
     stage.cache_key = BuildSideKey(spec, j, p.plan);

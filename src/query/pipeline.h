@@ -10,23 +10,25 @@
 
 namespace crystal::query {
 
-/// Lowering of a validated QuerySpec into the flat, fully bound pipeline
-/// every fused interpreter executes: an ordered list of fact-filter stages,
-/// an ordered list of join-probe stages (each pointing at its build-side
+/// Lowering of a validated QuerySpec into the flat, fully bound plan every
+/// fused interpreter consumes: an ordered list of fact-filter stages, an
+/// ordered list of join-probe stages (each pointing at its build-side
 /// descriptor and the group slot its payload feeds), and the aggregate
-/// inputs — all resolved once, before the scan, so the per-morsel inner
-/// loop touches no spec machinery. Fact columns are carried as
+/// stage — all resolved once, before the scan, so no engine re-derives the
+/// wiring from the spec. Each stage names the fact column it reads (a
+/// FactCol, for engines that keep per-column state) and carries it as a
 /// storage::ColumnView, so the lowering stays engine-agnostic across
-/// storage encodings: a plain view is a raw pointer plus length (the
-/// pre-storage-layer fast path, unchanged), a packed view carries the
-/// (words, bits, reference) metadata the unpack kernels need. The
-/// vectorized CPU engine drives this with SIMD selection-vector kernels,
-/// but any engine that walks filters → probes → aggregate can consume the
-/// same lowering instead of re-deriving the wiring from the spec.
+/// storage encodings: a plain view is a raw pointer plus length, a packed
+/// view carries the (words, bits, reference) metadata the unpack kernels
+/// need. The vectorized CPU engine (FusedQuery) and both simulated engines
+/// (crystal-gpu-sim, materializing) execute it. The reference interpreter
+/// (ssb::RunReference) deliberately does not: it is the oracle, and sharing
+/// the lowering with it would correlate their bugs.
 
-/// One fact-predicate stage: lo <= col.Get(row) <= hi.
+/// One fact-predicate stage: lo <= view.Get(row) <= hi.
 struct FilterStage {
-  storage::ColumnView col;
+  FactCol col = FactCol::kOrderdate;
+  storage::ColumnView view;
   int32_t lo = 0;
   int32_t hi = 0;
 };
@@ -36,6 +38,7 @@ struct FilterStage {
 /// group-key buffer this probe's payload feeds, or -1 for a filter-only
 /// join whose payload is never read.
 struct ProbeStage {
+  FactCol fact_key = FactCol::kOrderdate;
   storage::ColumnView fact_keys;
   int join_index = 0;
   int group_slot = -1;

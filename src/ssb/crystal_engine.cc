@@ -1,62 +1,60 @@
 #include "ssb/crystal_engine.h"
 
+#include <algorithm>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "common/macros.h"
 #include "crystal/crystal.h"
+#include "query/pipeline.h"
 
 namespace crystal::ssb {
 
-namespace {
-
-using query::QuerySpec;
-
-template <typename Pred>
-sim::DeviceBuffer<int32_t> FilteredColumn(sim::Device& device,
-                                          const Column& keys,
-                                          const Column& payloads, Pred pred,
-                                          sim::DeviceBuffer<int32_t>* out_pay) {
-  // Host-side filter used only to assemble build inputs; the build kernel
-  // itself records the dimension-scan traffic.
+gpu::DeviceHashTable BuildDomainHashTable(sim::Device& device,
+                                          const query::BoundJoin& join,
+                                          int64_t scanned_columns,
+                                          const sim::LaunchConfig& config) {
+  // Host-side filter used only to assemble the build inputs; the modeled
+  // dimension scan is its own build-phase kernel below.
   std::vector<int32_t> k;
   std::vector<int32_t> v;
+  const Column& keys = *join.keys;
+  const Column& payloads = *join.payload;
   for (size_t i = 0; i < keys.size(); ++i) {
-    if (pred(i)) {
+    if (join.RowPasses(i)) {
       k.push_back(keys[i]);
       v.push_back(payloads[i]);
     }
   }
   sim::DeviceBuffer<int32_t> dk(device, static_cast<int64_t>(k.size()));
-  *out_pay = sim::DeviceBuffer<int32_t>(device, static_cast<int64_t>(v.size()));
+  sim::DeviceBuffer<int32_t> dv(device, static_cast<int64_t>(v.size()));
   std::memcpy(dk.data(), k.data(), k.size() * sizeof(int32_t));
-  std::memcpy(out_pay->data(), v.data(), v.size() * sizeof(int32_t));
-  return dk;
-}
-
-// Builds a hash table over the dimension rows selected by `pred`, mapping
-// key -> payload. Following the paper (Section 5.3: "the size of the part
-// hash table (with perfect hashing) is 2 x 4 x 1M = 8MB"), the table is
-// sized by the dimension's KEY DOMAIN, not by the filtered entry count —
-// this is what makes the part table exceed the GPU L2 at SF 20. The build
-// kernel also charges the dimension-table scan (every row's key and filter
-// columns are read once).
-template <typename Pred>
-gpu::DeviceHashTable BuildFiltered(sim::Device& device, const Column& keys,
-                                   const Column& payloads, int64_t dim_rows,
-                                   int64_t filter_columns, Pred pred,
-                                   const sim::LaunchConfig& config) {
-  sim::DeviceBuffer<int32_t> pay;
-  sim::DeviceBuffer<int32_t> k =
-      FilteredColumn(device, keys, payloads, pred, &pay);
-  gpu::DeviceHashTable ht(device, std::max<int64_t>(dim_rows, 1),
+  std::memcpy(dv.data(), v.data(), v.size() * sizeof(int32_t));
+  gpu::DeviceHashTable ht(device, std::max<int64_t>(join.dim_rows, 1),
                           /*max_fill=*/1.0);
-  device.RecordSeqRead(dim_rows * 4 * filter_columns);  // dimension scan
-  ht.Build(k, pay, config);
+  const int64_t tile = config.tile_items();
+  sim::RunAsKernel(device, "ht_build_scan", config,
+                   (join.dim_rows + tile - 1) / tile, [&] {
+                     device.RecordSeqRead(join.dim_rows * 4 * scanned_columns);
+                   });
+  ht.Build(dk, dv, config);
   return ht;
 }
 
-}  // namespace
+void FinalizeRun(const sim::Device& device, const Database& db,
+                 const query::QuerySpec& spec, EngineRun* run) {
+  run->fact_rows = db.lo.rows;
+  run->fact_bytes_shipped = query::ReferencedFactBytes(db, spec, db.lo.rows);
+  for (const auto& rec : device.records()) {
+    if (rec.name.rfind("ht_build", 0) == 0) {
+      run->build_ms += rec.est_ms;
+    } else {
+      run->probe_ms += rec.est_ms;
+    }
+  }
+  run->total_ms = run->build_ms + run->probe_ms;
+}
 
 CrystalEngine::CrystalEngine(sim::Device& device, const Database& db)
     : device_(device), db_(db) {
@@ -74,75 +72,27 @@ CrystalEngine::CrystalEngine(sim::Device& device, const Database& db)
   }
 }
 
-void CrystalEngine::FinalizeRun(EngineRun* run,
-                                const query::QuerySpec& spec) const {
-  run->fact_rows = db_.lo.rows;
-  run->fact_bytes_shipped = query::ReferencedFactBytes(db_, spec, db_.lo.rows);
-  for (const auto& rec : device_.records()) {
-    if (rec.name.rfind("ht_build", 0) == 0 || rec.name == "dim_scan") {
-      run->build_ms += rec.est_ms;
-    } else {
-      run->probe_ms += rec.est_ms;
-    }
-  }
-  run->total_ms = run->build_ms + run->probe_ms;
-}
-
-EngineRun CrystalEngine::Run(const QuerySpec& spec,
+EngineRun CrystalEngine::Run(const query::QuerySpec& spec,
                              const sim::LaunchConfig& config) {
-  std::string error;
-  CRYSTAL_CHECK_MSG(query::Validate(spec, &error), error.c_str());
   device_.ResetStats();
+  const query::QueryPipeline pipe = query::LowerToPipeline(spec, db_);
+  const query::GroupLayout& layout = pipe.layout;
+  const query::AggPlan& aggs = pipe.agg.plan;
 
-  const query::PayloadPlan plan = query::PlanPayloads(spec);
-  const query::GroupLayout layout = query::LayoutFor(spec);
-
-  // Build phase: one domain-sized hash table per dimension join (wiring
-  // resolved once by query::BindJoins); the build kernel charges one
-  // dimension-column scan per filter plus the key.
-  const std::vector<query::BoundJoin> bound =
-      query::BindJoins(spec, plan, db_);
+  // Build phase: one domain-sized hash table per probe stage; the scan
+  // reads each build-side filter column plus the key.
   std::vector<gpu::DeviceHashTable> tables;
-  tables.reserve(bound.size());
-  for (const query::BoundJoin& join : bound) {
-    tables.push_back(BuildFiltered(
-        device_, *join.keys, *join.payload, join.dim_rows,
-        1 + static_cast<int64_t>(join.filters.size()),
-        [&join](size_t i) { return join.RowPasses(i); }, config));
-  }
-  std::vector<crystal::HashTableView> views;
-  views.reserve(tables.size());
-  for (const gpu::DeviceHashTable& ht : tables) views.push_back(ht.view());
-
-  // One register tile per distinct referenced fact column: a column used by
-  // both a predicate and the aggregate (q1.x discount) is loaded once, as
-  // the hand-fused kernels did.
-  int tile_slot[query::kNumFactCols];
-  for (int i = 0; i < query::kNumFactCols; ++i) tile_slot[i] = -1;
-  int num_slots = 0;
-  auto slot_of = [&](query::FactCol col) {
-    int& slot = tile_slot[static_cast<int>(col)];
-    if (slot < 0) slot = num_slots++;
-    return slot;
-  };
-  std::vector<query::FactCol> slot_col;
-  auto reference = [&](query::FactCol col) {
-    if (tile_slot[static_cast<int>(col)] < 0) slot_col.push_back(col);
-    slot_of(col);
-  };
-  for (const query::FactFilter& f : spec.fact_filters) reference(f.col);
-  for (const query::JoinSpec& join : spec.joins) reference(join.fact_key);
-  bool agg_seen[query::kNumFactCols] = {};
-  for (const query::AggSpec& agg : spec.aggs) {
-    query::ExprMarkColumns(agg.expr, agg_seen);
-  }
-  for (int i = 0; i < query::kNumFactCols; ++i) {
-    if (agg_seen[i]) reference(static_cast<query::FactCol>(i));
+  tables.reserve(pipe.probes.size());
+  for (const query::ProbeStage& probe : pipe.probes) {
+    const query::BoundJoin& join =
+        pipe.bound[static_cast<size_t>(probe.join_index)];
+    tables.push_back(BuildDomainHashTable(
+        device_, join, 1 + static_cast<int64_t>(join.filters.size()),
+        config));
   }
 
   // Aggregation plan: one accumulator slot per expanded aggregate; the
   // per-element arithmetic charge is the total +,-,* count across slots.
-  const query::AggPlan aggs = query::PlanAggs(spec);
   const int slots = aggs.num_slots();
   int64_t arith_per_row = 0;
   for (const query::AggSlot& slot : aggs.slots) {
@@ -150,7 +100,7 @@ EngineRun CrystalEngine::Run(const QuerySpec& spec,
   }
 
   EngineRun run;
-  const bool scalar = layout.scalar();
+  const bool scalar = pipe.scalar();
   sim::DeviceBuffer<int64_t> total(device_, slots, 0);
   sim::DeviceBuffer<int64_t> grid(device_,
                                   (scalar ? 1 : layout.cells) * slots, 0);
@@ -158,43 +108,42 @@ EngineRun CrystalEngine::Run(const QuerySpec& spec,
   if (!scalar) query::FillIdentity(aggs, grid.data(), layout.cells);
 
   // Probe phase: one fused kernel over the fact table — predicate chain,
-  // join cascade in spec order, then the aggregate, with one atomic per
+  // join cascade in pipeline order, then the aggregate, with one atomic per
   // surviving row (grouped) or per tile (scalar).
   sim::LaunchTiles(
       device_, "spec_probe", config, db_.lo.rows,
       [&](sim::ThreadBlock& tb, int64_t off, int tile) {
-        std::vector<RegTile<int32_t>> cols;
-        cols.reserve(slot_col.size());
-        for (size_t i = 0; i < slot_col.size(); ++i) cols.emplace_back(tb);
         std::vector<RegTile<int32_t>> group;
-        group.reserve(spec.group_by.size());
-        for (size_t g = 0; g < spec.group_by.size(); ++g) group.emplace_back(tb);
+        group.reserve(static_cast<size_t>(layout.num_keys));
+        for (int g = 0; g < layout.num_keys; ++g) group.emplace_back(tb);
         RegTile<int32_t> ignored(tb);
         RegTile<int> bm(tb);
         bool bm_valid = false;
 
-        // Loads each referenced column on first use: a full BlockLoad for
-        // the leading column, bitmap-selective loads after that.
-        bool loaded[query::kNumFactCols] = {};
+        // One register tile per referenced fact column, loaded on first
+        // use — a full BlockLoad for the leading column, bitmap-selective
+        // loads after that — so a column used by both a predicate and the
+        // aggregate (q1.x discount) is loaded once, as the hand-fused
+        // kernels did.
+        std::optional<RegTile<int32_t>> cols[query::kNumFactCols];
         auto load = [&](query::FactCol col) -> RegTile<int32_t>& {
-          const int slot = tile_slot[static_cast<int>(col)];
-          RegTile<int32_t>& dst = cols[static_cast<size_t>(slot)];
-          if (loaded[static_cast<int>(col)]) return dst;
-          loaded[static_cast<int>(col)] = true;
+          std::optional<RegTile<int32_t>>& dst = cols[static_cast<int>(col)];
+          if (dst.has_value()) return *dst;
+          dst.emplace(tb);
           const FactDeviceColumn& fc = fact_[static_cast<int>(col)];
           if (fc.packed != nullptr) {
             if (bm_valid) {
-              gpu::BlockLoadPackedSel(tb, *fc.packed, off, tile, bm, dst);
+              gpu::BlockLoadPackedSel(tb, *fc.packed, off, tile, bm, *dst);
             } else {
-              gpu::BlockLoadPacked(tb, *fc.packed, off, tile, dst);
+              gpu::BlockLoadPacked(tb, *fc.packed, off, tile, *dst);
             }
           } else if (bm_valid) {
             BlockLoadSel(tb, fc.plain.data() + off, fc.plain.addr(off), tile,
-                         bm, dst);
+                         bm, *dst);
           } else {
-            BlockLoad(tb, fc.plain.data() + off, tile, dst);
+            BlockLoad(tb, fc.plain.data() + off, tile, *dst);
           }
-          return dst;
+          return *dst;
         };
         auto init_bitmap = [&] {
           if (bm_valid) return;
@@ -203,7 +152,7 @@ EngineRun CrystalEngine::Run(const QuerySpec& spec,
           bm_valid = true;
         };
 
-        for (const query::FactFilter& f : spec.fact_filters) {
+        for (const query::FilterStage& f : pipe.filters) {
           RegTile<int32_t>& vals = load(f.col);
           const auto pred = [&f](int32_t v) { return v >= f.lo && v <= f.hi; };
           if (!bm_valid) {
@@ -213,32 +162,30 @@ EngineRun CrystalEngine::Run(const QuerySpec& spec,
             BlockPredAnd(tb, vals, tile, pred, bm);
           }
         }
-        for (size_t j = 0; j < spec.joins.size(); ++j) {
-          RegTile<int32_t>& keys = load(spec.joins[j].fact_key);
+        for (size_t p = 0; p < pipe.probes.size(); ++p) {
+          const query::ProbeStage& probe = pipe.probes[p];
+          RegTile<int32_t>& keys = load(probe.fact_key);
           init_bitmap();
           // Matching payloads land in the join's group-key tile; filter-only
           // joins write a scratch tile (only the bitmap effect matters).
           RegTile<int32_t>& payload =
-              plan.join_payload[j] >= 0
-                  ? group[static_cast<size_t>(plan.join_payload[j])]
+              probe.group_slot >= 0
+                  ? group[static_cast<size_t>(probe.group_slot)]
                   : ignored;
-          BlockLookup(tb, views[j], keys, bm, payload, tile);
+          BlockLookup(tb, tables[p].view(), keys, bm, payload, tile);
         }
         init_bitmap();  // pure scan: every row survives
-        for (int c = 0; c < query::kNumFactCols; ++c) {
-          if (agg_seen[c]) load(static_cast<query::FactCol>(c));
-        }
-        const auto col_at = [&](query::FactCol col, int k) {
-          return cols[static_cast<size_t>(tile_slot[static_cast<int>(col)])]
-              .logical(k);
-        };
+        for (query::FactCol col : pipe.agg.cols) load(col);
         const auto value_at = [&](const query::AggSlot& slot, int k) {
           int64_t v = 1;  // counts add 1 per surviving row
           if (slot.func != query::AggFunc::kCount) {
             CRYSTAL_CHECK_MSG(
                 query::EvalExpr(
                     slot.expr,
-                    [&](query::FactCol col) { return col_at(col, k); }, &v),
+                    [&](query::FactCol col) {
+                      return cols[static_cast<int>(col)]->logical(k);
+                    },
+                    &v),
                 "crystal engine: aggregate expression overflow");
           }
           return v;
@@ -305,18 +252,11 @@ EngineRun CrystalEngine::Run(const QuerySpec& spec,
       });
 
   if (scalar) {
-    int64_t emitted[query::kMaxAggSlots];
-    int n = 0;
-    for (int sl = 0; sl < slots; ++sl) {
-      if (aggs.slots[static_cast<size_t>(sl)].emitted) {
-        emitted[n++] = total[sl];
-      }
-    }
-    run.result.SetScalars(emitted, n);
+    EmitScalars(aggs, total.data(), &run.result);
   } else {
     EmitDenseGroups(layout, aggs, grid.data(), &run.result);
   }
-  FinalizeRun(&run, spec);
+  FinalizeRun(device_, db_, spec, &run);
   return run;
 }
 

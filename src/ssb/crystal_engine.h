@@ -27,6 +27,27 @@ struct EngineRun {
   }
 };
 
+/// Splits the device's kernel records since its last ResetStats into build
+/// (every `ht_build*` kernel) and probe time, and fills the traffic fields
+/// from the spec's referenced columns at their encoded widths
+/// (query::ReferencedFactBytes). Shared by both simulated engines.
+void FinalizeRun(const sim::Device& device, const Database& db,
+                 const query::QuerySpec& spec, EngineRun* run);
+
+/// Build phase of both simulated engines: a hash table over the dimension
+/// rows passing every build-side filter of `join`, mapping key -> payload.
+/// Following the paper (Section 5.3: "the size of the part hash table
+/// (with perfect hashing) is 2 x 4 x 1M = 8MB"), the table is sized by the
+/// dimension's KEY DOMAIN, not by the filtered entry count — this is what
+/// makes the part table exceed the GPU L2 at SF 20. The dimension scan —
+/// `scanned_columns` 4-byte columns of every dimension row — runs as its
+/// own `ht_build_scan` kernel ahead of the insert kernel, so build_ms
+/// counts it; `config` is both kernels' geometry.
+gpu::DeviceHashTable BuildDomainHashTable(sim::Device& device,
+                                          const query::BoundJoin& join,
+                                          int64_t scanned_columns,
+                                          const sim::LaunchConfig& config);
+
 /// The paper's standalone engine: one fused tile-based kernel per query
 /// built from Crystal block-wide functions (Section 5.2), preceded by the
 /// dimension hash-table builds. The kernel is assembled generically from
@@ -63,11 +84,6 @@ class CrystalEngine {
     sim::DeviceBuffer<int32_t> plain;
     std::unique_ptr<gpu::PackedColumn> packed;
   };
-
-  // Splits recorded kernel estimates into build vs probe and fills traffic
-  // fields of `run` from the spec's referenced columns at their encoded
-  // widths (query::ReferencedFactBytes).
-  void FinalizeRun(EngineRun* run, const query::QuerySpec& spec) const;
 
   sim::Device& device_;
   const Database& db_;

@@ -365,29 +365,6 @@ struct FusedQuery::Impl {
       state.vecs.resize(static_cast<size_t>(pipe.agg.num_vectors) * kVector);
     }
     for (SparseGrid& grid : sparse_grids) grid.Bind(&pipe.agg.plan);
-    // Packed columns that must materialize per vector (probe keys and
-    // aggregate inputs; filters decode in-register inside the fused
-    // kernels) get a scratch slot each, deduplicated by payload pointer so
-    // a column referenced twice shares one slot. Plain columns keep the
-    // direct pointer-plus-base path, bit-identical to the
-    // pre-storage-layer code.
-    std::vector<const uint32_t*> slot_words;
-    auto slot_for = [&slot_words](const storage::ColumnView& v) -> int {
-      if (!v.packed()) return -1;
-      for (size_t s = 0; s < slot_words.size(); ++s) {
-        if (slot_words[s] == v.words()) return static_cast<int>(s);
-      }
-      slot_words.push_back(v.words());
-      return static_cast<int>(slot_words.size()) - 1;
-    };
-    probe_slot.resize(pipe.probes.size());
-    for (size_t p = 0; p < pipe.probes.size(); ++p) {
-      probe_slot[p] = slot_for(pipe.probes[p].fact_keys);
-    }
-    agg_slot.resize(pipe.agg.views.size());
-    for (size_t c = 0; c < pipe.agg.views.size(); ++c) {
-      agg_slot[c] = slot_for(pipe.agg.views[c]);
-    }
   }
 
   /// Build phase: fetch every probe's build side from the process-wide
@@ -461,8 +438,6 @@ struct FusedQuery::Impl {
   /// Budget claim on the aggregation scratch, held until destruction.
   TrackedCharge agg_charge;
   std::vector<std::shared_ptr<const cpu::JoinTable>> tables;
-  std::vector<int> probe_slot;
-  std::vector<int> agg_slot;  // parallel to pipe.agg.cols/views
   /// Private dense-grid scratch, used when no caller-owned scratch was
   /// donated. Must precede `agg`, which captures a reference.
   std::vector<std::vector<int64_t>> own_scratch;
@@ -609,7 +584,7 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
   int32_t sel[kVector];
   int32_t pos[kVector];
   int32_t group[3][kVector];
-  // One kVector slice per distinct packed probe/aggregate column.
+  // One kVector slice per packed probe/aggregate column, by FactCol.
   int32_t packed_scratch[query::kNumFactCols][kVector];
   int64_t off[kVector];
   ThreadState& state = s.per_thread[static_cast<size_t>(t)];
@@ -624,8 +599,8 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
     bool have_sel = false;
     int m = n;
     for (const query::FilterStage& f : pipe.filters) {
-      if (!f.col.packed()) {
-        const int32_t* col = f.col.plain_data() + base;
+      if (!f.view.packed()) {
+        const int32_t* col = f.view.plain_data() + base;
         if (!have_sel) {
           m = cpu::SelectRange(col, n, f.lo, f.hi, sel);
           have_sel = true;
@@ -633,9 +608,9 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
           m = cpu::RefineRange(col, sel, m, f.lo, f.hi, sel);
         }
       } else {
-        const uint32_t* words = f.col.words();
-        const int bits = f.col.bits();
-        const int32_t ref = f.col.reference();
+        const uint32_t* words = f.view.words();
+        const int bits = f.view.bits();
+        const int32_t ref = f.view.reference();
         if (!have_sel) {
           m = cpu::SelectRangePacked(words, bits, ref, base, n, f.lo, f.hi,
                                      sel);
@@ -646,14 +621,15 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
         }
       }
     }
-    // Decodes a packed column's survivors into its scratch slot and
+    // Decodes a packed column's survivors into its scratch slice and
     // returns a pointer indexable exactly like a plain column slice at
     // this vector's base (scatter-unpack keeps sel indexing valid); plain
-    // columns pass through untouched.
+    // columns pass through untouched. A column read by a probe and the
+    // aggregate shares one slice.
     auto resolve = [&](const storage::ColumnView& v,
-                       int slot) -> const int32_t* {
-      if (slot < 0) return v.plain_data() + base;
-      int32_t* buf = packed_scratch[slot];
+                       query::FactCol col) -> const int32_t* {
+      if (!v.packed()) return v.plain_data() + base;
+      int32_t* buf = packed_scratch[static_cast<int>(col)];
       if (have_sel) {
         cpu::UnpackAt(v.words(), v.bits(), v.reference(), base, sel, m, buf);
       } else {
@@ -669,7 +645,7 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
     int carried_slots[3];
     for (size_t p = 0; p < pipe.probes.size(); ++p) {
       const query::ProbeStage& probe = pipe.probes[p];
-      const int32_t* keys = resolve(probe.fact_keys, s.probe_slot[p]);
+      const int32_t* keys = resolve(probe.fact_keys, probe.fact_key);
       int32_t* val_out =
           probe.group_slot >= 0 ? group[probe.group_slot] : nullptr;
       int32_t* pos_out = carried > 0 ? pos : nullptr;
@@ -702,7 +678,7 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
         continue;
       }
       const int32_t* col = resolve(stage.views[static_cast<size_t>(op.col)],
-                                   s.agg_slot[static_cast<size_t>(op.col)]);
+                                   stage.cols[static_cast<size_t>(op.col)]);
       int64_t* d = vecs + static_cast<ptrdiff_t>(op.dst) * kVector;
       if (row_sel != nullptr) {
         for (int i = 0; i < m; ++i) d[i] = col[row_sel[i]];
@@ -781,7 +757,6 @@ StatusOr<QueryResult> FusedQuery::FinishImpl(ThreadPool& pool) {
   Impl& s = *impl_;
   if (s.failed.load(std::memory_order_relaxed)) return s.FirstError();
   const query::AggPlan& plan = s.pipe.agg.plan;
-  const int num_slots = plan.num_slots();
   QueryResult r;
   if (s.sparse) {
     for (size_t t = 1; t < s.sparse_grids.size(); ++t) {
@@ -798,14 +773,7 @@ StatusOr<QueryResult> FusedQuery::FinishImpl(ThreadPool& pool) {
   const std::vector<int64_t>& grid = s.agg.Merge(pool, &ok);
   if (!ok) return OutOfRangeError(kOverflowMsg);
   if (s.scalar) {
-    int64_t emitted[query::kMaxAggSlots];
-    int n = 0;
-    for (int sl = 0; sl < num_slots; ++sl) {
-      if (plan.slots[static_cast<size_t>(sl)].emitted) {
-        emitted[n++] = grid[static_cast<size_t>(sl)];
-      }
-    }
-    r.SetScalars(emitted, n);
+    EmitScalars(plan, grid.data(), &r);
   } else {
     EmitDenseGroups(s.pipe.layout, plan, grid.data(), &r);
   }

@@ -1,17 +1,15 @@
 #include "ssb/materializing_engine.h"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/macros.h"
+#include "query/pipeline.h"
 
 namespace crystal::ssb {
 
 namespace {
-
-using query::QuerySpec;
 
 // Per-operator fixed kernel structure in the independent-threads model:
 // count pass + prefix-sum + scatter pass (Fig. 4a) — the input is read
@@ -21,30 +19,6 @@ constexpr int kKernelsPerOperator = 3;
 // MonetDB materializes candidate lists as 8-byte oid BATs; every operator
 // re-reads and re-writes them (operator-at-a-time, Section 2.2).
 constexpr int64_t kOidBytes = 8;
-
-template <typename Pred>
-gpu::DeviceHashTable BuildFilteredHt(sim::Device& device, const Column& keys,
-                                     const Column& payloads, int64_t dim_rows,
-                                     Pred pred) {
-  std::vector<int32_t> k;
-  std::vector<int32_t> v;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (pred(i)) {
-      k.push_back(keys[i]);
-      v.push_back(payloads[i]);
-    }
-  }
-  sim::DeviceBuffer<int32_t> dk(device, static_cast<int64_t>(k.size()));
-  sim::DeviceBuffer<int32_t> dv(device, static_cast<int64_t>(v.size()));
-  std::memcpy(dk.data(), k.data(), k.size() * sizeof(int32_t));
-  std::memcpy(dv.data(), v.data(), v.size() * sizeof(int32_t));
-  // Domain-sized table, as in the paper's Section 5.3 accounting.
-  gpu::DeviceHashTable ht(device, std::max<int64_t>(dim_rows, 1),
-                          /*max_fill=*/1.0);
-  device.RecordSeqRead(dim_rows * 4 * 2);
-  ht.Build(dk, dv);
-  return ht;
-}
 
 // Lines touched by gathering `count` ascending row ids from a b-bit column
 // (b == 32 for plain 4-byte columns). At b bits per value one DRAM line
@@ -91,20 +65,6 @@ int64_t ElementReadBytes(const sim::Device& device, int64_t count) {
 MaterializingEngine::MaterializingEngine(sim::Device& device,
                                          const Database& db)
     : device_(device), db_(db) {}
-
-void MaterializingEngine::FinalizeRun(EngineRun* run,
-                                      const query::QuerySpec& spec) const {
-  run->fact_rows = db_.lo.rows;
-  run->fact_bytes_shipped = query::ReferencedFactBytes(db_, spec, db_.lo.rows);
-  for (const auto& rec : device_.records()) {
-    if (rec.name.rfind("ht_build", 0) == 0) {
-      run->build_ms += rec.est_ms;
-    } else {
-      run->probe_ms += rec.est_ms;
-    }
-  }
-  run->total_ms = run->build_ms + run->probe_ms;
-}
 
 template <typename Pred>
 MaterializingEngine::Oids MaterializingEngine::ScanSelect(
@@ -246,41 +206,35 @@ MaterializingEngine::Oids MaterializingEngine::ProbeJoin(
   return out;
 }
 
-EngineRun MaterializingEngine::Run(const QuerySpec& spec) {
-  std::string error;
-  CRYSTAL_CHECK_MSG(query::Validate(spec, &error), error.c_str());
+EngineRun MaterializingEngine::Run(const query::QuerySpec& spec) {
   device_.ResetStats();
-
-  const query::PayloadPlan plan = query::PlanPayloads(spec);
-  const query::GroupLayout layout = query::LayoutFor(spec);
+  const query::QueryPipeline pipe = query::LowerToPipeline(spec, db_);
+  const query::GroupLayout& layout = pipe.layout;
+  const query::AggPlan& aggs = pipe.agg.plan;
   EngineRun run;
 
-  // Build phase: one domain-sized filtered hash table per dimension join,
-  // with the key/payload/filter wiring resolved once by query::BindJoins.
-  const std::vector<query::BoundJoin> bound =
-      query::BindJoins(spec, plan, db_);
+  // Build phase: one domain-sized filtered hash table per probe stage; the
+  // scan reads the key and payload columns.
   std::vector<gpu::DeviceHashTable> tables;
-  tables.reserve(bound.size());
-  for (const query::BoundJoin& join : bound) {
-    tables.push_back(
-        BuildFilteredHt(device_, *join.keys, *join.payload, join.dim_rows,
-                        [&join](size_t i) { return join.RowPasses(i); }));
+  tables.reserve(pipe.probes.size());
+  for (const query::ProbeStage& probe : pipe.probes) {
+    tables.push_back(BuildDomainHashTable(
+        device_, pipe.bound[static_cast<size_t>(probe.join_index)],
+        /*scanned_columns=*/2, {}));
   }
 
   // Candidate list: select + refine over the fact filters, or the identity
   // list when the query has none (join-only plans read the raw column).
   Oids sel;
-  if (!spec.fact_filters.empty()) {
-    bool first = true;
-    for (const query::FactFilter& f : spec.fact_filters) {
-      const storage::ColumnView col = query::FactColumn(db_, f.col).view();
+  if (!pipe.filters.empty()) {
+    for (size_t i = 0; i < pipe.filters.size(); ++i) {
+      const query::FilterStage& f = pipe.filters[i];
       const std::string name =
-          std::string(first ? "mat_select_" : "mat_refine_") +
+          std::string(i == 0 ? "mat_select_" : "mat_refine_") +
           std::string(query::FactColName(f.col));
       const auto pred = [&f](int32_t v) { return v >= f.lo && v <= f.hi; };
-      sel = first ? ScanSelect(col, name.c_str(), pred)
-                  : Refine(col, sel, name.c_str(), pred);
-      first = false;
+      sel = i == 0 ? ScanSelect(f.view, name.c_str(), pred)
+                   : Refine(f.view, sel, name.c_str(), pred);
     }
   } else {
     sel.rows = sim::DeviceBuffer<int32_t>(device_, db_.lo.rows);
@@ -295,18 +249,21 @@ EngineRun MaterializingEngine::Run(const QuerySpec& spec) {
   // Join cascade: fetch the key column at the surviving rows, probe, then
   // realign every group payload materialized by earlier joins with the
   // survivors (candidate lists are ascending, so one merge walk each).
-  std::vector<sim::DeviceBuffer<int32_t>> group_vals(spec.group_by.size());
-  std::vector<bool> group_filled(spec.group_by.size(), false);
-  for (size_t j = 0; j < spec.joins.size(); ++j) {
-    const query::JoinSpec& join = spec.joins[j];
+  std::vector<sim::DeviceBuffer<int32_t>> group_vals(
+      static_cast<size_t>(layout.num_keys));
+  std::vector<bool> group_filled(group_vals.size(), false);
+  for (size_t p = 0; p < pipe.probes.size(); ++p) {
+    const query::ProbeStage& probe = pipe.probes[p];
     const std::string fetch_name =
-        "mat_fetch_" + std::string(query::FactColName(join.fact_key));
-    const sim::DeviceBuffer<int32_t> keys = Fetch(
-        query::FactColumn(db_, join.fact_key).view(), sel, fetch_name.c_str());
+        "mat_fetch_" + std::string(query::FactColName(probe.fact_key));
+    const sim::DeviceBuffer<int32_t> keys =
+        Fetch(probe.fact_keys, sel, fetch_name.c_str());
     const std::string join_name =
-        "mat_join_" + std::string(query::DimTableName(join.table));
+        "mat_join_" +
+        std::string(query::DimTableName(
+            spec.joins[static_cast<size_t>(probe.join_index)].table));
     sim::DeviceBuffer<int32_t> payload;
-    Oids next = ProbeJoin(tables[j], keys, sel, join_name.c_str(), &payload);
+    Oids next = ProbeJoin(tables[p], keys, sel, join_name.c_str(), &payload);
     for (size_t g = 0; g < group_vals.size(); ++g) {
       if (!group_filled[g]) continue;
       sim::DeviceBuffer<int32_t> aligned(device_,
@@ -317,8 +274,8 @@ EngineRun MaterializingEngine::Run(const QuerySpec& spec) {
       }
       group_vals[g] = std::move(aligned);
     }
-    if (plan.join_payload[j] >= 0) {
-      const size_t slot = static_cast<size_t>(plan.join_payload[j]);
+    if (probe.group_slot >= 0) {
+      const size_t slot = static_cast<size_t>(probe.group_slot);
       group_vals[slot] = std::move(payload);
       group_filled[slot] = true;
     }
@@ -327,39 +284,27 @@ EngineRun MaterializingEngine::Run(const QuerySpec& spec) {
 
   // Fetch every distinct aggregate input at the surviving rows, then run
   // the final aggregation operator over the expanded slot plan.
-  const query::AggPlan aggs = query::PlanAggs(spec);
   const int slots = aggs.num_slots();
-  bool agg_seen[query::kNumFactCols] = {};
-  for (const query::AggSpec& agg : spec.aggs) {
-    query::ExprMarkColumns(agg.expr, agg_seen);
-  }
   int64_t arith_per_row = 0;
   for (const query::AggSlot& slot : aggs.slots) {
     arith_per_row += query::ExprArithOps(slot.expr);
   }
-  std::vector<sim::DeviceBuffer<int32_t>> agg_vals;
-  int col_pos[query::kNumFactCols];
-  for (int c = 0; c < query::kNumFactCols; ++c) {
-    col_pos[c] = -1;
-    if (!agg_seen[c]) continue;
-    const query::FactCol col = static_cast<query::FactCol>(c);
+  sim::DeviceBuffer<int32_t> agg_vals[query::kNumFactCols];  // by FactCol
+  for (size_t c = 0; c < pipe.agg.cols.size(); ++c) {
+    const query::FactCol col = pipe.agg.cols[c];
     const std::string fetch_name =
         "mat_fetch_" + std::string(query::FactColName(col));
-    col_pos[c] = static_cast<int>(agg_vals.size());
-    agg_vals.push_back(
-        Fetch(query::FactColumn(db_, col).view(), sel, fetch_name.c_str()));
+    agg_vals[static_cast<int>(col)] =
+        Fetch(pipe.agg.views[c], sel, fetch_name.c_str());
   }
-  const int64_t num_inputs = static_cast<int64_t>(agg_vals.size());
+  const int64_t num_inputs = static_cast<int64_t>(pipe.agg.cols.size());
   auto value_at = [&](const query::AggSlot& slot, int64_t i) {
     int64_t v = 1;  // counts add 1 per surviving row
     if (slot.func != query::AggFunc::kCount) {
       CRYSTAL_CHECK_MSG(
           query::EvalExpr(
               slot.expr,
-              [&](query::FactCol c) {
-                return agg_vals[static_cast<size_t>(
-                    col_pos[static_cast<int>(c)])][i];
-              },
+              [&](query::FactCol c) { return agg_vals[static_cast<int>(c)][i]; },
               &v),
           "materializing engine: aggregate expression overflow");
     }
@@ -383,14 +328,7 @@ EngineRun MaterializingEngine::Run(const QuerySpec& spec) {
         }
       }
     });
-    int64_t emitted[query::kMaxAggSlots];
-    int n = 0;
-    for (int sl = 0; sl < slots; ++sl) {
-      if (aggs.slots[static_cast<size_t>(sl)].emitted) {
-        emitted[n++] = acc[sl];
-      }
-    }
-    run.result.SetScalars(emitted, n);
+    EmitScalars(aggs, acc, &run.result);
   } else {
     std::vector<int64_t> grid(static_cast<size_t>(layout.cells * slots));
     query::FillIdentity(aggs, grid.data(), layout.cells);
@@ -420,7 +358,7 @@ EngineRun MaterializingEngine::Run(const QuerySpec& spec) {
     });
     EmitDenseGroups(layout, aggs, grid.data(), &run.result);
   }
-  FinalizeRun(&run, spec);
+  FinalizeRun(device_, db_, spec, &run);
   return run;
 }
 

@@ -61,8 +61,6 @@ class MaterializingEngine {
                  const sim::DeviceBuffer<int32_t>& keys, const Oids& in,
                  const char* name, sim::DeviceBuffer<int32_t>* payloads);
 
-  void FinalizeRun(EngineRun* run, const query::QuerySpec& spec) const;
-
   sim::Device& device_;
   const Database& db_;
 };

@@ -130,6 +130,16 @@ void EmitDenseGroups(const query::GroupLayout& layout,
   result->Normalize();
 }
 
+void EmitScalars(const query::AggPlan& plan, const int64_t* acc,
+                 QueryResult* result) {
+  int64_t emitted[query::kMaxAggSlots];
+  int n = 0;
+  for (int s = 0; s < plan.num_slots(); ++s) {
+    if (plan.slots[static_cast<size_t>(s)].emitted) emitted[n++] = acc[s];
+  }
+  result->SetScalars(emitted, n);
+}
+
 QueryResult RunReference(const Database& db, const QuerySpec& spec) {
   std::string error;
   CRYSTAL_CHECK_MSG(query::Validate(spec, &error), error.c_str());

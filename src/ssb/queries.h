@@ -62,6 +62,12 @@ void EmitDenseGroups(const query::GroupLayout& layout,
                      const query::AggPlan& plan, const int64_t* grid,
                      QueryResult* result);
 
+/// Emits a scalar query's accumulators (plan.num_slots() values, slot
+/// order) as the result's scalar values; only emitted slots reach the
+/// result (the hidden liveness count does not).
+void EmitScalars(const query::AggPlan& plan, const int64_t* acc,
+                 QueryResult* result);
+
 /// Reference engine: straightforward tuple-at-a-time interpretation of the
 /// declarative spec with per-dimension lookup structures. This is both the
 /// ground truth for all engine tests and the execution model of the

@@ -1,5 +1,5 @@
 // Tests for the Section 5.5 / Section 4.3 extension features: bit-packed
-// columns, the radix-partitioned join, and the multi-GPU scaling model.
+// columns and the radix-partitioned join.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -9,7 +9,6 @@
 #include "gpu/hash_table.h"
 #include "gpu/packed_column.h"
 #include "gpu/radix_join.h"
-#include "model/multi_gpu.h"
 #include "sim/device.h"
 
 namespace crystal::gpu {
@@ -178,35 +177,3 @@ TEST(RadixJoinTest, PartitioningTurnsDramProbesIntoCacheProbes) {
 
 }  // namespace
 }  // namespace crystal::gpu
-
-namespace crystal::model {
-namespace {
-
-TEST(MultiGpuModelTest, ProbeTimeDividesAcrossGpus) {
-  MultiGpuConfig one;
-  MultiGpuConfig four;
-  four.num_gpus = 4;
-  const double t1 = MultiGpuQueryMs(0.5, 4.0, 1000, one);
-  const double t4 = MultiGpuQueryMs(0.5, 4.0, 1000, four);
-  EXPECT_LT(t4, t1);
-  // Build is replicated, so scaling is sublinear.
-  EXPECT_GT(t4, t1 / 4.0);
-}
-
-TEST(MultiGpuModelTest, MergeCostGrowsWithGroups) {
-  MultiGpuConfig cfg;
-  cfg.num_gpus = 8;
-  EXPECT_GT(MultiGpuQueryMs(0.1, 1.0, 10'000'000, cfg),
-            MultiGpuQueryMs(0.1, 1.0, 100, cfg));
-}
-
-TEST(MultiGpuModelTest, CapacityScalesWithGpus) {
-  MultiGpuConfig one;
-  MultiGpuConfig eight;
-  eight.num_gpus = 8;
-  EXPECT_GE(MaxScaleFactor(eight), 8 * MaxScaleFactor(one) - 8);
-  EXPECT_GT(MaxScaleFactor(one), 100);  // a single 32 GB V100 holds SF > 100
-}
-
-}  // namespace
-}  // namespace crystal::model
