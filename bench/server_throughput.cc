@@ -4,9 +4,8 @@
 // plus a sequential-replay baseline (same workload, one query at a time,
 // batching disabled). Writes BENCH_server.json with queries/sec,
 // p50/p95/p99 latency, and the shared-scan accounting (batches formed,
-// scans saved, dedup hits) per level — the throughput counterpart to
-// engine_throughput's single-query latency trajectory; tools/perf_diff
-// understands both schemas (docs/SERVER.md).
+// scans saved, dedup hits) per level; tools/perf_diff compares two such
+// files (docs/SERVER.md).
 //
 // Each level runs N closed-loop clients (every client submits its next
 // query as soon as its previous one completed). That approximates

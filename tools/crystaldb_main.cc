@@ -12,11 +12,16 @@
 //   crystaldb --engines=vectorized-cpu,coprocessor --queries=q2.1,q4
 //             --sf=20 --fact-divisor=20 --out=report.json
 //   crystaldb --serve --sf=1,10 --serve-check
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -185,6 +190,34 @@ int ListEngines() {
 
 namespace {
 
+/// Parses a whole flag value as a number >= `min` that fits T: "5x",
+/// "abc", "", " 5" and out-of-range values fail instead of being read as
+/// a prefix or as 0.
+template <typename T>
+bool ParseNumber(const char* value, T min, T* out) {
+  if (value == nullptr || *value == '\0' ||
+      std::isspace(static_cast<unsigned char>(*value))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  if constexpr (std::is_integral_v<T>) {
+    const long long v = std::strtoll(value, &end, 10);
+    if (*end != '\0' || errno == ERANGE || v < min ||
+        v > std::numeric_limits<T>::max()) {
+      return false;
+    }
+    *out = static_cast<T>(v);
+  } else {
+    const double v = std::strtod(value, &end);
+    if (*end != '\0' || errno == ERANGE || !(v >= min) || !std::isfinite(v)) {
+      return false;
+    }
+    *out = v;
+  }
+  return true;
+}
+
 /// Parses "1" or "1,10" into positive scale factors.
 bool ParseSfList(const char* value, std::vector<int>* out) {
   out->clear();
@@ -192,8 +225,8 @@ bool ParseSfList(const char* value, std::vector<int>* out) {
   for (const char* p = value;; ++p) {
     if (*p == ',' || *p == '\0') {
       if (token.empty()) return false;
-      const int sf = std::atoi(token.c_str());
-      if (sf < 1) return false;
+      int sf = 0;
+      if (!ParseNumber(token.c_str(), 1, &sf)) return false;
       out->push_back(sf);
       token.clear();
       if (*p == '\0') break;
@@ -301,27 +334,22 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(arg, "--serve", &value)) {
       serve = true;
     } else if (ParseFlag(arg, "--serve-batch", &value)) {
-      if (value == nullptr || std::atoi(value) < 1)
+      if (!ParseNumber(value, 1, &serve_config.server.max_batch))
         return FlagError("--serve-batch needs a positive integer");
-      serve_config.server.max_batch = std::atoi(value);
     } else if (ParseFlag(arg, "--serve-queue", &value)) {
-      if (value == nullptr || std::atoi(value) < 1)
+      if (!ParseNumber(value, 1, &serve_config.server.max_queue))
         return FlagError("--serve-queue needs a positive integer");
-      serve_config.server.max_queue = std::atoi(value);
     } else if (ParseFlag(arg, "--serve-timeout", &value)) {
-      if (value == nullptr || std::atof(value) < 0)
+      if (!ParseNumber(value, 0.0, &serve_config.server.default_timeout_ms))
         return FlagError("--serve-timeout needs a non-negative number");
-      serve_config.server.default_timeout_ms = std::atof(value);
     } else if (ParseFlag(arg, "--serve-rows", &value)) {
-      if (value == nullptr || std::atoi(value) < 0)
+      if (!ParseNumber(value, 0, &serve_config.max_result_rows))
         return FlagError("--serve-rows needs a non-negative integer");
-      serve_config.max_result_rows = std::atoi(value);
     } else if (ParseFlag(arg, "--serve-check", &value)) {
       serve_config.check = true;
     } else if (ParseFlag(arg, "--serve-watchdog", &value)) {
-      if (value == nullptr || std::atof(value) < 0)
+      if (!ParseNumber(value, 0.0, &serve_config.server.watchdog_ms))
         return FlagError("--serve-watchdog needs a non-negative number");
-      serve_config.server.watchdog_ms = std::atof(value);
     } else if (ParseFlag(arg, "--mem-budget", &value)) {
       int64_t budget_bytes = 0;
       if (value == nullptr ||
@@ -335,9 +363,8 @@ int main(int argc, char** argv) {
       crystal::MemoryBudget::Process().set_limit(budget_bytes);
       serve_config.server.memory_budget_bytes = budget_bytes;
     } else if (ParseFlag(arg, "--fact-divisor", &value)) {
-      if (value == nullptr || std::atoi(value) < 1)
+      if (!ParseNumber(value, 1, &options.fact_divisor))
         return FlagError("--fact-divisor needs a positive integer");
-      options.fact_divisor = std::atoi(value);
     } else if (ParseFlag(arg, "--seed", &value)) {
       if (value == nullptr) return FlagError("--seed needs a value");
       char* end = nullptr;
@@ -350,30 +377,25 @@ int main(int argc, char** argv) {
         return FlagError(error);
       options.storage = value;
     } else if (ParseFlag(arg, "--threads", &value)) {
-      if (value == nullptr || std::atoi(value) < 0)
+      if (!ParseNumber(value, 0, &options.threads))
         return FlagError("--threads needs a non-negative integer");
-      options.threads = std::atoi(value);
     } else if (ParseFlag(arg, "--repeat", &value)) {
-      if (value == nullptr || std::atoi(value) < 1)
+      if (!ParseNumber(value, 1, &options.repeat))
         return FlagError("--repeat needs a positive integer");
-      options.repeat = std::atoi(value);
     } else if (ParseFlag(arg, "--warmup", &value)) {
-      if (value == nullptr || std::atoi(value) < 0)
+      if (!ParseNumber(value, 0, &options.warmup))
         return FlagError("--warmup needs a non-negative integer");
-      options.warmup = std::atoi(value);
     } else if (ParseFlag(arg, "--profile", &value)) {
       if (value == nullptr) return FlagError("--profile needs a value");
       if (!crystal::driver::ParseProfileName(value, &error))
         return FlagError(error);
       options.profile = value;
     } else if (ParseFlag(arg, "--block-threads", &value)) {
-      if (value == nullptr || std::atoi(value) < 1)
+      if (!ParseNumber(value, 1, &options.block_threads))
         return FlagError("--block-threads needs a positive integer");
-      options.block_threads = std::atoi(value);
     } else if (ParseFlag(arg, "--items-per-thread", &value)) {
-      if (value == nullptr || std::atoi(value) < 1)
+      if (!ParseNumber(value, 1, &options.items_per_thread))
         return FlagError("--items-per-thread needs a positive integer");
-      options.items_per_thread = std::atoi(value);
     } else if (ParseFlag(arg, "--no-check", &value)) {
       options.check_against_reference = false;
     } else if (ParseFlag(arg, "--output", &value) ||
