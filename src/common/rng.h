@@ -14,11 +14,16 @@ class Rng {
 
   /// Next raw 64-bit value.
   uint64_t Next64() {
-    uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    uint64_t z = (state_ += kGamma);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
   }
+
+  /// Advances the stream as n Next64() calls would, in O(1): splitmix64's
+  /// state moves by a fixed gamma per draw (mod 2^64). Lets parallel
+  /// generators seek each chunk to its first draw.
+  void Skip(uint64_t n) { state_ += n * kGamma; }
 
   /// Next 32-bit value.
   uint32_t Next32() { return static_cast<uint32_t>(Next64() >> 32); }
@@ -46,6 +51,8 @@ class Rng {
   bool Bernoulli(double p) { return NextDouble() < p; }
 
  private:
+  static constexpr uint64_t kGamma = 0x9e3779b97f4a7c15ull;
+
   uint64_t state_;
 };
 

@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "common/macros.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "engine/query_engine.h"
 #include "engine/registry.h"
@@ -315,7 +316,13 @@ Report Run(const Options& options) {
   CRYSTAL_CHECK_MSG(
       storage::EncodingFromName(options.storage, &gen.storage.encoding),
       "unknown storage encoding (ParseStorageName first)");
-  const ssb::Database db = ssb::Generate(gen);
+  // Generate at the width the queries run at, so datagen_wall_ms is
+  // comparable with them.
+  ssb::Database db;
+  {
+    ThreadPool pool(options.threads);
+    db = ssb::Generate(gen, pool);
+  }
   const double datagen_ms = datagen_timer.ElapsedMs();
   Report report = Run(options, db);
   report.datagen_wall_ms = datagen_ms;

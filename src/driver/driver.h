@@ -49,7 +49,8 @@ struct Options {
   /// columns natively; results are identical across modes.
   std::string storage = "plain";
   uint64_t seed = 20200302;
-  /// Host threads for host-threaded engines; 0 = hardware concurrency.
+  /// Host threads for data generation (Run(options) only) and for
+  /// host-threaded engines; 0 = hardware concurrency.
   int threads = 0;
   /// Timed executions per engine x query; wall_ms is the median and
   /// wall_min_ms the minimum across them (perf-measurement mode).

@@ -1,9 +1,11 @@
 #include "ssb/datagen.h"
 
 #include <cmath>
+#include <optional>
 
 #include "common/macros.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "ssb/dict.h"
 
 namespace crystal::ssb {
@@ -19,6 +21,18 @@ int64_t PartRows(int scale_factor) {
 }
 
 namespace {
+
+constexpr int kFactColumns = 9;
+
+// RNG draws per fact row: one per column, in column order. The parallel
+// fill seeks each chunk's stream by it; the golden hashes in
+// DatagenStorageTest.FactColumnsMatchGoldenHashes pin the draw order.
+constexpr int64_t kFactDrawsPerRow = kFactColumns;
+
+// Rows per parallel fill chunk. A multiple of 32, so a packed chunk of any
+// width spans whole 32-bit words and no two chunks OR into the same word.
+constexpr int64_t kRowsPerChunk = int64_t{1} << 16;
+static_assert(kRowsPerChunk % 32 == 0);
 
 constexpr int kDaysPerMonth[12] = {31, 28, 31, 30, 31, 30,
                                    31, 31, 30, 31, 30, 31};
@@ -59,7 +73,7 @@ int32_t DateKeyForDay(int day_index) {
   return ymd.year * 10000 + ymd.month * 100 + ymd.day;
 }
 
-Database Generate(const DatagenOptions& options) {
+Database Generate(const DatagenOptions& options, ThreadPool& pool) {
   CRYSTAL_CHECK(options.scale_factor >= 1);
   CRYSTAL_CHECK(options.fact_divisor >= 1);
   Database db;
@@ -155,34 +169,62 @@ Database Generate(const DatagenOptions& options) {
   // quantity 6, discount 4, extendedprice 16, revenue 17, supplycost 15.
   db.lo.rows = LineorderRows(options.scale_factor) / options.fact_divisor;
   const storage::Encoding enc = options.storage.encoding;
-  auto fact_builder = [&](int32_t reference, int64_t max_value) {
-    const uint32_t span = static_cast<uint32_t>(max_value - reference);
-    return storage::ColumnBuilder(enc, db.lo.rows, reference,
-                                  storage::BitsForSpan(span));
+  struct FactDomain {
+    int32_t reference;
+    int64_t max_value;
   };
-  storage::ColumnBuilder orderdate =
-      fact_builder(db.d.datekey[0], db.d.datekey[kDateRows - 1]);
-  storage::ColumnBuilder custkey = fact_builder(1, db.c.rows);
-  storage::ColumnBuilder partkey = fact_builder(1, db.p.rows);
-  storage::ColumnBuilder suppkey = fact_builder(1, db.s.rows);
-  storage::ColumnBuilder quantity = fact_builder(1, 50);
-  storage::ColumnBuilder discount = fact_builder(0, 10);
-  storage::ColumnBuilder extendedprice = fact_builder(1, 60'000);
-  storage::ColumnBuilder revenue = fact_builder(1, 100'000);
-  storage::ColumnBuilder supplycost = fact_builder(1, 20'000);
-  for (int64_t i = 0; i < db.lo.rows; ++i) {
-    orderdate.Set(
-        i,
-        db.d.datekey[rng.UniformInt(0, static_cast<int32_t>(kDateRows - 1))]);
-    custkey.Set(i, rng.UniformInt(1, static_cast<int32_t>(db.c.rows)));
-    partkey.Set(i, rng.UniformInt(1, static_cast<int32_t>(db.p.rows)));
-    suppkey.Set(i, rng.UniformInt(1, static_cast<int32_t>(db.s.rows)));
-    quantity.Set(i, rng.UniformInt(1, 50));
-    discount.Set(i, rng.UniformInt(0, 10));
-    extendedprice.Set(i, rng.UniformInt(1, 60'000));
-    revenue.Set(i, rng.UniformInt(1, 100'000));
-    supplycost.Set(i, rng.UniformInt(1, 20'000));
-  }
+  const FactDomain domains[kFactColumns] = {
+      {db.d.datekey[0], db.d.datekey[kDateRows - 1]},  // orderdate
+      {1, db.c.rows},                                  // custkey
+      {1, db.p.rows},                                  // partkey
+      {1, db.s.rows},                                  // suppkey
+      {1, 50},                                         // quantity
+      {0, 10},                                         // discount
+      {1, 60'000},                                     // extendedprice
+      {1, 100'000},                                    // revenue
+      {1, 20'000},                                     // supplycost
+  };
+  // One column per task: the builders' zero-fill is the first touch of
+  // every fact page, and page faults are a large share of generation.
+  std::optional<storage::ColumnBuilder> builders[kFactColumns];
+  pool.ParallelForMorsels(kFactColumns, 1, [&](int, int64_t c, int64_t) {
+    const uint32_t span =
+        static_cast<uint32_t>(domains[c].max_value - domains[c].reference);
+    builders[c].emplace(enc, db.lo.rows, domains[c].reference,
+                        storage::BitsForSpan(span));
+  });
+  storage::ColumnBuilder& orderdate = *builders[0];
+  storage::ColumnBuilder& custkey = *builders[1];
+  storage::ColumnBuilder& partkey = *builders[2];
+  storage::ColumnBuilder& suppkey = *builders[3];
+  storage::ColumnBuilder& quantity = *builders[4];
+  storage::ColumnBuilder& discount = *builders[5];
+  storage::ColumnBuilder& extendedprice = *builders[6];
+  storage::ColumnBuilder& revenue = *builders[7];
+  storage::ColumnBuilder& supplycost = *builders[8];
+  // Row i's draws start kFactDrawsPerRow * i draws past the post-dimension
+  // stream, so each chunk seeks a private copy there and the output does
+  // not depend on the thread count or the order chunks run in.
+  pool.ParallelForMorsels(
+      db.lo.rows, kRowsPerChunk, [&](int, int64_t begin, int64_t end) {
+        Rng chunk_rng = rng;
+        chunk_rng.Skip(static_cast<uint64_t>(kFactDrawsPerRow * begin));
+        for (int64_t i = begin; i < end; ++i) {
+          orderdate.Set(i, db.d.datekey[chunk_rng.UniformInt(
+                               0, static_cast<int32_t>(kDateRows - 1))]);
+          custkey.Set(
+              i, chunk_rng.UniformInt(1, static_cast<int32_t>(db.c.rows)));
+          partkey.Set(
+              i, chunk_rng.UniformInt(1, static_cast<int32_t>(db.p.rows)));
+          suppkey.Set(
+              i, chunk_rng.UniformInt(1, static_cast<int32_t>(db.s.rows)));
+          quantity.Set(i, chunk_rng.UniformInt(1, 50));
+          discount.Set(i, chunk_rng.UniformInt(0, 10));
+          extendedprice.Set(i, chunk_rng.UniformInt(1, 60'000));
+          revenue.Set(i, chunk_rng.UniformInt(1, 100'000));
+          supplycost.Set(i, chunk_rng.UniformInt(1, 20'000));
+        }
+      });
   db.lo.orderdate = orderdate.Finish();
   db.lo.custkey = custkey.Finish();
   db.lo.partkey = partkey.Finish();
@@ -193,6 +235,10 @@ Database Generate(const DatagenOptions& options) {
   db.lo.revenue = revenue.Finish();
   db.lo.supplycost = supplycost.Finish();
   return db;
+}
+
+Database Generate(const DatagenOptions& options) {
+  return Generate(options, ThreadPool::Default());
 }
 
 Database Generate(int scale_factor, int fact_divisor, uint64_t seed) {

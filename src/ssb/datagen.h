@@ -5,9 +5,15 @@
 
 #include "ssb/schema.h"
 
+namespace crystal {
+class ThreadPool;
+}  // namespace crystal
+
 namespace crystal::ssb {
 
-/// Options for the deterministic SSB generator.
+/// Options for the deterministic SSB generator. The generated database is
+/// a pure function of these fields: it does not depend on the thread count
+/// generation runs on.
 struct DatagenOptions {
   int scale_factor = 1;
   /// Fact subsampling: lineorder holds 6M*SF/fact_divisor rows while the
@@ -27,9 +33,17 @@ struct DatagenOptions {
 /// the attribute distributions the benchmark queries rely on (uniform
 /// quantity 1..50, discount 0..10, part/customer/supplier geography uniform
 /// over the dictionary domains). Deterministic for a given options struct.
+///
+/// Dimensions are generated serially; lineorder is filled on every thread
+/// of `pool` in fixed 64Ki-row chunks, each seeking its own copy of the one
+/// RNG stream, so the output is bit-identical for any pool size. Must not
+/// be called from inside one of `pool`'s tasks.
+Database Generate(const DatagenOptions& options, ThreadPool& pool);
+
+/// Generates on ThreadPool::Default().
 Database Generate(const DatagenOptions& options);
 
-/// Convenience overload.
+/// Convenience overload; generates on ThreadPool::Default().
 Database Generate(int scale_factor, int fact_divisor = 1,
                   uint64_t seed = 20200302);
 

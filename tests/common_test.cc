@@ -53,6 +53,22 @@ TEST(RngTest, UniformCoversRange) {
   EXPECT_EQ(seen.size(), 10u);
 }
 
+TEST(RngTest, SkipMatchesRepeatedDraws) {
+  // The last seed wraps the state past 2^64 within the first draws.
+  for (const uint64_t seed : {uint64_t{20200302}, ~uint64_t{0} - 5}) {
+    for (const uint64_t n : {0ull, 1ull, 9ull, 1'000'003ull}) {
+      Rng stepped(seed);
+      for (uint64_t i = 0; i < n; ++i) stepped.Next64();
+      Rng skipped(seed);
+      skipped.Skip(n);
+      for (int i = 0; i < 4; ++i) {
+        ASSERT_EQ(skipped.Next64(), stepped.Next64())
+            << "seed=" << seed << " n=" << n;
+      }
+    }
+  }
+}
+
 TEST(RngTest, DoubleInUnitInterval) {
   Rng rng(3);
   double sum = 0;
@@ -92,6 +108,22 @@ TEST(AlignedTest, VectorIs64ByteAligned) {
   EXPECT_EQ(reinterpret_cast<uintptr_t>(v.data()) % 64, 0u);
   AlignedVector<uint64_t> w(3);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(w.data()) % 64, 0u);
+}
+
+TEST(AlignedTest, LargeBlocksAreAlignedAndZeroed) {
+  // Blocks past the mmap threshold take the page-mapping path; they must
+  // keep the 64-byte alignment and vector value-initialization, also when
+  // a just-freed block of the same size was dirty.
+  constexpr size_t kLarge = (AlignedAllocator<int32_t>::kMmapThreshold /
+                             sizeof(int32_t)) + 17;
+  {
+    AlignedVector<int32_t> dirty(kLarge);
+    std::fill(dirty.begin(), dirty.end(), -1);
+  }
+  AlignedVector<int32_t> v(kLarge);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(v.data()) % 64, 0u);
+  EXPECT_TRUE(
+      std::all_of(v.begin(), v.end(), [](int32_t x) { return x == 0; }));
 }
 
 TEST(ThreadPoolTest, CoversWholeRangeExactlyOnce) {
@@ -449,6 +481,20 @@ TEST(MemoryBudgetTest, AlignedAllocatorReportsTraffic) {
     EXPECT_GE(budget.aligned_bytes(), before + 4096);
   }
   EXPECT_EQ(budget.aligned_bytes(), before);  // free returns every byte
+
+  // Blocks allocated on a pool worker and freed on this thread (how
+  // parallel datagen's columns live), below and above the mmap threshold.
+  ThreadPool pool(2);
+  for (const size_t n : {size_t{1024}, size_t{1} << 20}) {
+    AlignedVector<int32_t> v;
+    pool.ParallelFor(2, [&](int thread, int64_t, int64_t) {
+      if (thread == 1) v = AlignedVector<int32_t>(n);
+    });
+    EXPECT_GE(budget.aligned_bytes(),
+              before + static_cast<int64_t>(n * sizeof(int32_t)));
+    v = AlignedVector<int32_t>();
+    EXPECT_EQ(budget.aligned_bytes(), before) << n;
+  }
 }
 
 TEST(MemoryBudgetTest, ConcurrentChargeReleaseReconciles) {

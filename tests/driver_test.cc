@@ -369,6 +369,29 @@ TEST(DriverTest, ReportsTheDatabasesOwnSeed) {
   const Report report = driver::Run(options, TestDb());
   EXPECT_EQ(report.options.seed, TestDb().seed);
   EXPECT_EQ(report.options.seed, 20200302u);
+
+  // Run(options) generates its own database with the options' seed, on
+  // --threads workers (0 = every core); the width must not change it.
+  options.fact_divisor = 1000;
+  options.queries = {QueryId::kQ11, QueryId::kQ21};
+  options.threads = 1;
+  const Report serial = driver::Run(options);
+  options.threads = 0;
+  const Report parallel = driver::Run(options);
+  for (const Report* r : {&serial, &parallel}) {
+    EXPECT_EQ(r->options.seed, 999u);
+    EXPECT_EQ(r->fact_rows, 6000);
+    EXPECT_GT(r->datagen_wall_ms, 0.0);
+    EXPECT_TRUE(r->all_results_match);
+  }
+  ASSERT_EQ(serial.queries.size(), 2u);
+  ASSERT_EQ(parallel.queries.size(), 2u);
+  for (size_t q = 0; q < serial.queries.size(); ++q) {
+    const EngineRunReport& a = serial.queries[q].runs[0];
+    const EngineRunReport& b = parallel.queries[q].runs[0];
+    EXPECT_EQ(a.checksum, b.checksum) << serial.queries[q].spec.name;
+    EXPECT_EQ(a.groups, b.groups) << serial.queries[q].spec.name;
+  }
 }
 
 TEST(DriverTest, JsonReportWellFormed) {

@@ -1,7 +1,8 @@
 // Storage-layer tests: bit-packed encoding round-trips, layout formulas,
 // the streaming ColumnBuilder, the CPU unpack/select kernels against the
 // scalar PackedGet reference (both SIMD dispatch states), and datagen's
-// contract that plain and packed runs generate value-identical databases.
+// contract that plain and packed runs generate value-identical databases,
+// pinned by golden hashes and independent of the generating thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 
 #include "common/aligned.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "cpu/vector_ops.h"
 #include "query/query_spec.h"
 #include "ssb/datagen.h"
@@ -410,6 +412,82 @@ TEST(DatagenStorageTest, PackedAndPlainGenerateIdenticalValues) {
     EXPECT_TRUE(p == q) << query::FactColName(fc);
     EXPECT_LT(q.encoded_bytes(), p.encoded_bytes()) << query::FactColName(fc);
     EXPECT_EQ(q.encoded_bytes(), PackedBytes(q.rows(), q.bits()));
+  }
+}
+
+// FNV-1a-64 over every row's value as 4 little-endian bytes of uint32.
+uint64_t Fnv1a64(const EncodedColumn& column) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const ColumnView v = column.view();
+  for (int64_t i = 0; i < v.rows(); ++i) {
+    const uint32_t value = static_cast<uint32_t>(v.Get(i));
+    for (int b = 0; b < 4; ++b) {
+      h ^= (value >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+// Every dimension column of a database, for whole-database comparisons.
+std::vector<const ssb::Column*> DimensionColumns(const ssb::Database& db) {
+  return {&db.d.datekey, &db.d.year,    &db.d.yearmonthnum,
+          &db.d.weeknuminyear,
+          &db.c.custkey, &db.c.city,    &db.c.nation,   &db.c.region,
+          &db.s.suppkey, &db.s.city,    &db.s.nation,   &db.s.region,
+          &db.p.partkey, &db.p.mfgr,    &db.p.category, &db.p.brand1};
+}
+
+// Pins the fact draw order, then checks that the thread count changes
+// nothing. Parallel generation splits lineorder into fixed-size chunks
+// whatever the thread count, so comparing thread counts alone cannot catch
+// a wrong RNG skip offset; the hashes were recorded from the serial
+// generator. SF=1 / divisor 7 is 857,142 rows: not a multiple of 32, and
+// more than one chunk.
+TEST(DatagenStorageTest, FactColumnsMatchGoldenHashes) {
+  constexpr uint64_t kGolden[query::kNumFactCols] = {
+      0x5a4c5d7a2439be54ull,  // orderdate
+      0x99554a404e25767aull,  // custkey
+      0xc9275d7f488bb144ull,  // partkey
+      0xa481e771706ff57full,  // suppkey
+      0xcef934920d7b50cdull,  // quantity
+      0xcb7bfcdb5d849849ull,  // discount
+      0xf0d5740edca3054cull,  // extendedprice
+      0x58dac88e7c2ad4f1ull,  // revenue
+      0xbbc7010baf2c40cbull,  // supplycost
+  };
+  for (const Encoding enc : {Encoding::kPlain, Encoding::kPacked}) {
+    ssb::DatagenOptions opts;
+    opts.scale_factor = 1;
+    opts.fact_divisor = 7;
+    opts.storage.encoding = enc;
+    ThreadPool serial_pool(1);
+    const ssb::Database serial = ssb::Generate(opts, serial_pool);
+    ASSERT_EQ(serial.lo.rows, 857'142);
+    for (int c = 0; c < query::kNumFactCols; ++c) {
+      const query::FactCol fc = static_cast<query::FactCol>(c);
+      EXPECT_EQ(Fnv1a64(query::FactColumn(serial, fc)), kGolden[c])
+          << EncodingName(enc) << " " << query::FactColName(fc);
+    }
+
+    for (const int threads : {3, 4}) {
+      ThreadPool pool(threads);
+      const ssb::Database db = ssb::Generate(opts, pool);
+      ASSERT_EQ(db.lo.rows, serial.lo.rows);
+      for (int c = 0; c < query::kNumFactCols; ++c) {
+        const query::FactCol fc = static_cast<query::FactCol>(c);
+        EXPECT_TRUE(query::FactColumn(db, fc) ==
+                    query::FactColumn(serial, fc))
+            << EncodingName(enc) << " threads=" << threads << " "
+            << query::FactColName(fc);
+      }
+      const std::vector<const ssb::Column*> a = DimensionColumns(db);
+      const std::vector<const ssb::Column*> b = DimensionColumns(serial);
+      for (size_t d = 0; d < a.size(); ++d) {
+        EXPECT_TRUE(*a[d] == *b[d])
+            << EncodingName(enc) << " threads=" << threads << " dim " << d;
+      }
+    }
   }
 }
 

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/memory.h"
+#include "common/thread_pool.h"
 #include "driver/driver.h"
 #include "engine/registry.h"
 #include "query/parser.h"
@@ -68,8 +69,8 @@ Flags:
                      default) or packed (bit-packed with per-column widths;
                      see docs/STORAGE.md). Results are identical either way;
                      modeled traffic and PCIe volume shrink with packed.
-  --threads=N        Host threads for host-threaded engines
-                     (default 0 = hardware concurrency).
+  --threads=N        Host threads for data generation and host-threaded
+                     engines (default 0 = hardware concurrency).
   --repeat=N         Timed executions per engine x query (default 1).
                      wall_ms in the report is the median across them and
                      wall_min_ms the minimum — the perf-measurement mode
@@ -418,8 +419,8 @@ int main(int argc, char** argv) {
 
   if (serve) {
     // Generate every resident database up front (named sf<N>), then hand
-    // stdin/stdout to the protocol loop. --threads feeds the server's
-    // scan pool; 0 defers to CRYSTAL_THREADS / the hardware.
+    // stdin/stdout to the protocol loop. --threads feeds generation and the
+    // server's scan pool; 0 defers to CRYSTAL_THREADS / the hardware.
     serve_config.server.threads = options.threads;
     for (size_t a = 0; a < scale_factors.size(); ++a) {
       for (size_t b = a + 1; b < scale_factors.size(); ++b) {
@@ -438,13 +439,16 @@ int main(int argc, char** argv) {
     std::vector<crystal::ssb::Database> databases;
     databases.reserve(scale_factors.size());
     std::vector<std::pair<std::string, const crystal::ssb::Database*>> dbs;
-    for (const int sf : scale_factors) {
-      crystal::ssb::DatagenOptions gen;
-      gen.scale_factor = sf;
-      gen.fact_divisor = options.fact_divisor;
-      gen.seed = options.seed;
-      gen.storage = storage_options;
-      databases.push_back(crystal::ssb::Generate(gen));
+    {
+      crystal::ThreadPool gen_pool(options.threads);
+      for (const int sf : scale_factors) {
+        crystal::ssb::DatagenOptions gen;
+        gen.scale_factor = sf;
+        gen.fact_divisor = options.fact_divisor;
+        gen.seed = options.seed;
+        gen.storage = storage_options;
+        databases.push_back(crystal::ssb::Generate(gen, gen_pool));
+      }
     }
     for (size_t d = 0; d < databases.size(); ++d) {
       dbs.emplace_back("sf" + std::to_string(scale_factors[d]),
