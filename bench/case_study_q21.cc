@@ -44,10 +44,10 @@ int main() {
   sim::Device cpu_dev(sim::DeviceProfile::SkylakeI7());
   ssb::CrystalEngine gpu_engine(gpu_dev, db);
   ssb::CrystalEngine cpu_engine(cpu_dev, db);
-  const double gpu_sim = gpu_engine.Run(ssb::QueryId::kQ21)
-                             .ScaledTotalMs(divisor);
-  const double cpu_sim = cpu_engine.Run(ssb::QueryId::kQ21)
-                             .ScaledTotalMs(divisor);
+  const double gpu_sim =
+      gpu_engine.Run(ssb::QueryId::kQ21)->ScaledTotalMs(divisor);
+  const double cpu_sim =
+      cpu_engine.Run(ssb::QueryId::kQ21)->ScaledTotalMs(divisor);
 
   TablePrinter t({"device", "model (ms)", "observed (ms)", "paper model",
                   "paper actual"});

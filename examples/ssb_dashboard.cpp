@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
     const ssb::QueryResult truth = host_engine.Run(id);
     const double host_ms = timer.ElapsedMs();
 
-    const ssb::EngineRun g = gpu_engine.Run(id);
-    const ssb::EngineRun c = cpu_engine.Run(id);
+    const ssb::EngineRun g = gpu_engine.Run(id).value();
+    const ssb::EngineRun c = cpu_engine.Run(id).value();
     if (!(g.result == truth) || !(c.result == truth)) {
       std::printf("%-6s ANSWER MISMATCH\n", ssb::QueryName(id).c_str());
       return 1;

@@ -30,6 +30,21 @@ constexpr int Log2(uint64_t v) {
 /// Ceil(a / b) for positive integers.
 constexpr int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
+/// Frame-of-reference decode of row i of a bit-packed column: the
+/// `bits`-wide code at bit i*bits plus `reference`, read through the
+/// window words[w], words[w+1] (every packed buffer has a tail slack word).
+/// The add wraps in uint32_t: at bits == 32 a signed add could overflow.
+inline int32_t DecodePacked(const uint32_t* words, int bits, int32_t reference,
+                            int64_t i) {
+  const int64_t bit = i * bits;
+  const int64_t word = bit >> 5;
+  const uint64_t window = static_cast<uint64_t>(words[word]) |
+                          (static_cast<uint64_t>(words[word + 1]) << 32);
+  const uint32_t mask = bits >= 32 ? ~0u : ((1u << bits) - 1u);
+  const uint32_t code = static_cast<uint32_t>(window >> (bit & 31)) & mask;
+  return static_cast<int32_t>(code + static_cast<uint32_t>(reference));
+}
+
 /// Finalizer of MurmurHash3 for 32-bit keys; cheap, well-mixed hash used by
 /// all hash tables in the repo (both CPU and simulated-GPU sides share it so
 /// results are bit-identical).

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "common/bitutil.h"
 #include "cpu/hash_join.h"
 
 namespace crystal::cpu {
@@ -107,14 +108,7 @@ void CompactInPlace(int32_t* v, const int32_t* pos, int m);
 /// Decodes one value; the scalar building block (shared with tests).
 inline int32_t PackedGet(const uint32_t* words, int bits, int32_t reference,
                          int64_t i) {
-  const int64_t bit = i * bits;
-  const int64_t word = bit >> 5;
-  const uint64_t window = static_cast<uint64_t>(words[word]) |
-                          (static_cast<uint64_t>(words[word + 1]) << 32);
-  const uint32_t mask = bits >= 32 ? ~0u : ((1u << bits) - 1u);
-  return static_cast<int32_t>(static_cast<uint32_t>(window >> (bit & 31)) &
-                              mask) +
-         reference;
+  return DecodePacked(words, bits, reference, i);
 }
 
 /// out[i] = decoded value at row start + i, for i in [0, n).

@@ -8,6 +8,16 @@
 
 namespace crystal {
 
+/// Cost of one block-wide tree reduction of `value_bytes`-wide values:
+/// ~2 values per thread through shared memory, then a barrier. Every block
+/// reduce charges through here, including kernels that fold a tile with
+/// their own loop (the crystal engine's aggregate).
+inline void ChargeBlockReduce(sim::ThreadBlock& tb, int64_t value_bytes) {
+  tb.device().RecordShared(static_cast<int64_t>(tb.num_threads()) * 2 *
+                           value_bytes);
+  tb.SyncThreads();
+}
+
 /// BlockAggregate (Table 1): hierarchical reduction of a tile into a single
 /// value per block. Each thread first reduces its registers, then the block
 /// tree-reduces through shared memory (log2(NT) rounds). The caller
@@ -17,10 +27,7 @@ template <typename T>
 T BlockSum(sim::ThreadBlock& tb, const RegTile<T>& items, int tile_size) {
   T sum = T();
   for (int k = 0; k < tile_size; ++k) sum += items.logical(k);
-  // Tree reduction traffic: ~2 values per thread through shared memory.
-  tb.device().RecordShared(static_cast<int64_t>(tb.num_threads()) * 2 *
-                           sizeof(T));
-  tb.SyncThreads();
+  ChargeBlockReduce(tb, sizeof(T));
   return sum;
 }
 
@@ -32,9 +39,7 @@ T BlockSumIf(sim::ThreadBlock& tb, const RegTile<T>& items,
   for (int k = 0; k < tile_size; ++k) {
     if (bitmap.logical(k)) sum += items.logical(k);
   }
-  tb.device().RecordShared(static_cast<int64_t>(tb.num_threads()) * 2 *
-                           sizeof(T));
-  tb.SyncThreads();
+  ChargeBlockReduce(tb, sizeof(T));
   return sum;
 }
 
@@ -44,9 +49,7 @@ inline int64_t BlockCount(sim::ThreadBlock& tb, const RegTile<int>& bitmap,
                           int tile_size) {
   int64_t n = 0;
   for (int k = 0; k < tile_size; ++k) n += bitmap.logical(k) ? 1 : 0;
-  tb.device().RecordShared(static_cast<int64_t>(tb.num_threads()) * 2 *
-                           sizeof(int));
-  tb.SyncThreads();
+  ChargeBlockReduce(tb, sizeof(int));
   return n;
 }
 

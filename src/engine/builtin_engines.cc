@@ -7,6 +7,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/macros.h"
 #include "engine/builtin_engines.h"
 #include "engine/query_engine.h"
 #include "engine/registry.h"
@@ -77,7 +78,10 @@ class SimulatedEngineBase : public QueryEngine {
   explicit SimulatedEngineBase(const EngineContext& context)
       : device_(context.profile), fact_divisor_(context.db->fact_divisor) {}
 
-  RunStats ToStats(ssb::EngineRun run) const {
+  /// A failed run stops here: QueryEngine has no error path yet.
+  RunStats ToStats(StatusOr<ssb::EngineRun> result) const {
+    CRYSTAL_CHECK_MSG(result.ok(), result.status().ToString().c_str());
+    ssb::EngineRun run = std::move(result).value();
     RunStats stats;
     stats.predicted_build_ms = run.build_ms;
     stats.predicted_probe_ms = run.probe_ms * fact_divisor_;

@@ -10,6 +10,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/macros.h"
 #include "engine/builtin_engines.h"
 #include "engine/query_engine.h"
 #include "engine/registry.h"
@@ -47,7 +48,10 @@ class CoprocessorEngine final : public QueryEngine {
 
  protected:
   RunStats ExecuteImpl(const query::QuerySpec& spec) override {
-    ssb::EngineRun run = engine_.Run(spec, launch_);
+    // A failed run stops here: QueryEngine has no error path yet.
+    StatusOr<ssb::EngineRun> result = engine_.Run(spec, launch_);
+    CRYSTAL_CHECK_MSG(result.ok(), result.status().ToString().c_str());
+    ssb::EngineRun& run = *result;
 
     RunStats stats;
     // Full-scale PCIe volume: every referenced fact column ships at its

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/bitutil.h"
 #include "common/macros.h"
 
 namespace crystal::gpu {
@@ -47,16 +48,7 @@ PackedColumn::PackedColumn(sim::Device& device,
 }
 
 int32_t PackedColumn::Get(int64_t i) const {
-  const int64_t bit_pos = i * bits_;
-  const int64_t word = bit_pos / 32;
-  const int shift = static_cast<int>(bit_pos % 32);
-  uint64_t window = words_[word];
-  if (shift + bits_ > 32) {
-    window |= static_cast<uint64_t>(words_[word + 1]) << 32;
-  }
-  const uint64_t mask = bits_ == 32 ? 0xFFFFFFFFull : ((1ull << bits_) - 1);
-  return static_cast<int32_t>(static_cast<uint32_t>((window >> shift) & mask)) +
-         reference_;
+  return DecodePacked(words_.data(), bits_, reference_, i);
 }
 
 void BlockLoadPacked(sim::ThreadBlock& tb, const PackedColumn& column,

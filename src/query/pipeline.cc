@@ -197,6 +197,7 @@ QueryPipeline LowerToPipeline(const QuerySpec& spec,
                               : program.Lower(slot.expr);
     p.agg.inputs.push_back(in);
     p.agg.input_bounds.push_back(program.BoundOf(in));
+    p.agg.arith_per_row += ExprArithOps(slot.expr);
   }
   program.Allocate();
   return p;

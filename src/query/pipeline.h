@@ -84,7 +84,8 @@ struct AggOp {
 /// fact columns its expressions read (resolved to views once), and every
 /// slot's expression lowered into one straight-line column program.
 /// Engines run `program` over a vector's survivors, then fold
-/// `inputs[s]` into slot s's accumulators. The program loads each
+/// `inputs[s]` into slot s's accumulators, both through the shared
+/// evaluator in query/agg_program.h. The program loads each
 /// distinct column once and computes each distinct subexpression once
 /// across all slots (the TPC-H Q1 analog's `extendedprice` feeds three
 /// slots from one load); constant subexpressions fold at lowering, and
@@ -101,6 +102,9 @@ struct AggStage {
   /// vector of such values cannot overflow, so it may skip per-row checks.
   std::vector<uint64_t> input_bounds;
   int num_vectors = 0;             // scratch vectors the program needs
+  /// +,-,* nodes across every slot's expression (ExprArithOps, before
+  /// CSE): the simulated engines' per-row arithmetic charge.
+  int64_t arith_per_row = 0;
   /// A constant subexpression overflowed at lowering: every row that
   /// reaches aggregation overflows, exactly as per-row evaluation would.
   bool const_overflow = false;

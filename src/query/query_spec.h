@@ -128,8 +128,8 @@ struct Expr {
   bool operator==(const Expr& o) const { return nodes == o.nodes; }
 };
 
-/// Hard cap on expression size (Validate): the evaluation buffer lives on
-/// the stack of every engine's inner loop.
+/// Hard cap on expression size (Validate): the lowering's and the reference
+/// interpreter's per-expression buffers live on the stack.
 inline constexpr int kMaxExprNodes = 31;
 
 /// Expression builders (value semantics; operands are consumed).
@@ -140,14 +140,15 @@ Expr BinExpr(Expr::Op op, Expr a, Expr b);
 /// Marks every fact column the expression reads in `seen[kNumFactCols]`.
 void ExprMarkColumns(const Expr& expr, bool seen[]);
 
-/// Number of arithmetic (+,-,*) nodes — the crystal engine's per-row
-/// arithmetic charge for evaluating the expression on device.
+/// Number of arithmetic (+,-,*) nodes — the per-row arithmetic charge both
+/// simulated engines record for evaluating the expression on device.
 int ExprArithOps(const Expr& expr);
 
 /// Evaluates `expr` for one row with 64-bit checked arithmetic. `get` maps
 /// a FactCol to the row's value. Returns false on int64 overflow — the
 /// caller surfaces that as an overflow diagnostic instead of silently
-/// wrapping (docs/QUERIES.md).
+/// wrapping (docs/QUERIES.md). Only the reference interpreter evaluates
+/// row at a time; other engines run query/agg_program.h.
 template <typename GetCol>
 inline bool EvalExpr(const Expr& expr, GetCol&& get, int64_t* out) {
   int64_t v[kMaxExprNodes];

@@ -5,8 +5,8 @@
 #include <optional>
 #include <vector>
 
-#include "common/macros.h"
 #include "crystal/crystal.h"
+#include "query/agg_program.h"
 #include "query/pipeline.h"
 
 namespace crystal::ssb {
@@ -72,12 +72,13 @@ CrystalEngine::CrystalEngine(sim::Device& device, const Database& db)
   }
 }
 
-EngineRun CrystalEngine::Run(const query::QuerySpec& spec,
-                             const sim::LaunchConfig& config) {
+StatusOr<EngineRun> CrystalEngine::Run(const query::QuerySpec& spec,
+                                       const sim::LaunchConfig& config) {
   device_.ResetStats();
   const query::QueryPipeline pipe = query::LowerToPipeline(spec, db_);
   const query::GroupLayout& layout = pipe.layout;
-  const query::AggPlan& aggs = pipe.agg.plan;
+  const query::AggStage& stage = pipe.agg;
+  const query::AggPlan& aggs = stage.plan;
 
   // Build phase: one domain-sized hash table per probe stage; the scan
   // reads each build-side filter column plus the key.
@@ -91,13 +92,8 @@ EngineRun CrystalEngine::Run(const query::QuerySpec& spec,
         config));
   }
 
-  // Aggregation plan: one accumulator slot per expanded aggregate; the
-  // per-element arithmetic charge is the total +,-,* count across slots.
+  // Aggregation plan: one accumulator slot per expanded aggregate.
   const int slots = aggs.num_slots();
-  int64_t arith_per_row = 0;
-  for (const query::AggSlot& slot : aggs.slots) {
-    arith_per_row += query::ExprArithOps(slot.expr);
-  }
 
   EngineRun run;
   const bool scalar = pipe.scalar();
@@ -106,6 +102,13 @@ EngineRun CrystalEngine::Run(const query::QuerySpec& spec,
                                   (scalar ? 1 : layout.cells) * slots, 0);
   query::FillIdentity(aggs, total.data(), 1);
   if (!scalar) query::FillIdentity(aggs, grid.data(), layout.cells);
+  // The aggregate program's scratch vectors and one tile's survivors (a
+  // tile may hold more than kVectorRows items).
+  std::vector<int64_t> vecs(static_cast<size_t>(stage.num_vectors) *
+                            query::kVectorRows);
+  std::vector<int> survivors(static_cast<size_t>(config.tile_items()));
+  int64_t grid_rows = 0;  // rows folded into `grid` so far
+  bool overflow = false;
 
   // Probe phase: one fused kernel over the fact table — predicate chain,
   // join cascade in pipeline order, then the aggregate, with one atomic per
@@ -113,6 +116,7 @@ EngineRun CrystalEngine::Run(const query::QuerySpec& spec,
   sim::LaunchTiles(
       device_, "spec_probe", config, db_.lo.rows,
       [&](sim::ThreadBlock& tb, int64_t off, int tile) {
+        if (overflow) return;  // the query has failed
         std::vector<RegTile<int32_t>> group;
         group.reserve(static_cast<size_t>(layout.num_keys));
         for (int g = 0; g < layout.num_keys; ++g) group.emplace_back(tb);
@@ -175,81 +179,66 @@ EngineRun CrystalEngine::Run(const query::QuerySpec& spec,
           BlockLookup(tb, tables[p].view(), keys, bm, payload, tile);
         }
         init_bitmap();  // pure scan: every row survives
-        for (query::FactCol col : pipe.agg.cols) load(col);
-        const auto value_at = [&](const query::AggSlot& slot, int k) {
-          int64_t v = 1;  // counts add 1 per surviving row
-          if (slot.func != query::AggFunc::kCount) {
-            CRYSTAL_CHECK_MSG(
-                query::EvalExpr(
-                    slot.expr,
-                    [&](query::FactCol col) {
-                      return cols[static_cast<int>(col)]->logical(k);
-                    },
-                    &v),
-                "crystal engine: aggregate expression overflow");
-          }
-          return v;
-        };
+        for (query::FactCol col : stage.cols) load(col);
+        int n = 0;
+        for (int k = 0; k < tile; ++k) {
+          if (bm.logical(k)) survivors[static_cast<size_t>(n++)] = k;
+        }
         // Arithmetic charge: every surviving element evaluates each slot's
         // expression once (compute overlaps memory in the timing model, so
         // this only surfaces for genuinely compute-heavy expressions).
-        if (arith_per_row > 0) {
-          int64_t survivors = 0;
-          for (int k = 0; k < tile; ++k) survivors += bm.logical(k) ? 1 : 0;
-          tb.device().RecordArithmetic(survivors * arith_per_row);
+        if (stage.arith_per_row > 0) {
+          tb.device().RecordArithmetic(n * stage.arith_per_row);
         }
-        if (scalar) {
-          for (int sl = 0; sl < slots; ++sl) {
-            const query::AggSlot& slot = aggs.slots[static_cast<size_t>(sl)];
-            if (slot.func == query::AggFunc::kMin ||
-                slot.func == query::AggFunc::kMax) {
-              // Per-tile fold, then one atomic combine into the total.
-              int64_t local = query::AggIdentity(slot.func);
-              bool any = false;
-              for (int k = 0; k < tile; ++k) {
-                if (!bm.logical(k)) continue;
-                query::AggAccumulate(slot.func, &local, value_at(slot, k));
-                any = true;
-              }
-              if (any) {
-                tb.device().RecordAtomic();
-                query::AggMerge(slot.func, &total[sl], local);
-              }
-              continue;
-            }
-            RegTile<int64_t> partial(tb);
-            partial.Fill(0);
-            for (int k = 0; k < tile; ++k) {
-              if (bm.logical(k)) partial.logical(k) = value_at(slot, k);
-            }
-            const int64_t s = BlockSum(tb, partial, tile);
-            if (s != 0) tb.AtomicAdd(&total[sl], s);
-          }
-        } else {
-          for (int k = 0; k < tile; ++k) {
-            if (!bm.logical(k)) continue;
-            int64_t cell = 0;
+        // The shared evaluator over the survivors, kVectorRows at a time:
+        // grouped rows fold straight into the grid (one atomic per row and
+        // slot), a scalar tile into its own accumulator row.
+        int64_t local[query::kMaxAggSlots];
+        query::FillIdentity(aggs, local, 1);
+        int64_t cells[query::kVectorRows];
+        for (int base = 0; !overflow && base < n; base += query::kVectorRows) {
+          const int m = std::min(query::kVectorRows, n - base);
+          const int* rows = survivors.data() + base;
+          for (int i = 0; !scalar && i < m; ++i) {
+            int32_t keys[3];
             for (int g = 0; g < layout.num_keys; ++g) {
-              cell = cell * layout.span[g] +
-                     (group[static_cast<size_t>(g)].logical(k) -
-                      layout.lo[g]);
+              keys[g] = group[static_cast<size_t>(g)].logical(rows[i]);
             }
+            cells[i] = layout.CellFor(keys) * slots;
             for (int sl = 0; sl < slots; ++sl) {
-              const query::AggSlot& slot =
-                  aggs.slots[static_cast<size_t>(sl)];
-              const int64_t idx = cell * slots + sl;
-              tb.device().RecordRandomRead(grid.addr(idx), 8);
-              if (slot.func == query::AggFunc::kMin ||
-                  slot.func == query::AggFunc::kMax) {
-                tb.device().RecordAtomic();
-                query::AggMerge(slot.func, &grid[idx], value_at(slot, k));
-              } else {
-                tb.AtomicAdd(&grid[idx], value_at(slot, k));
-              }
+              tb.device().RecordRandomRead(grid.addr(cells[i] + sl), 8);
+              tb.device().RecordAtomic();
             }
           }
+          const auto widen = [&](int c, int count, int64_t* dst) {
+            const RegTile<int32_t>& col =
+                load(stage.cols[static_cast<size_t>(c)]);
+            for (int i = 0; i < count; ++i) dst[i] = col.logical(rows[i]);
+          };
+          overflow = !query::RunProgram(stage, vecs.data(), m, widen) ||
+                     !query::FoldSlots(stage, vecs.data(), m,
+                                       scalar ? local : grid.data(),
+                                       scalar ? nullptr : cells,
+                                       scalar ? base : grid_rows);
+          if (!scalar) grid_rows += m;
+        }
+        if (overflow || !scalar) return;
+        // Scalar: each slot's tile value is block-reduced (SUM/COUNT) and
+        // combined into the total with one atomic — skipped for a zero sum
+        // or a MIN/MAX that saw no row.
+        for (int sl = 0; sl < slots; ++sl) {
+          const query::AggFunc func = aggs.slots[static_cast<size_t>(sl)].func;
+          if (func == query::AggFunc::kSum || func == query::AggFunc::kCount) {
+            ChargeBlockReduce(tb, sizeof(int64_t));
+            if (local[sl] == 0) continue;
+          } else if (n == 0) {
+            continue;
+          }
+          tb.device().RecordAtomic();
+          if (!query::AggMerge(func, &total[sl], local[sl])) overflow = true;
         }
       });
+  if (overflow) return OutOfRangeError(query::kOverflowMsg);
 
   if (scalar) {
     EmitScalars(aggs, total.data(), &run.result);

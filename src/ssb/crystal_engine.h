@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "common/status.h"
 #include "gpu/hash_table.h"
 #include "gpu/packed_column.h"
 #include "sim/device.h"
@@ -52,9 +53,10 @@ gpu::DeviceHashTable BuildDomainHashTable(sim::Device& device,
 /// built from Crystal block-wide functions (Section 5.2), preceded by the
 /// dimension hash-table builds. The kernel is assembled generically from
 /// the QuerySpec — BlockPred chains for the fact filters, one BlockLookup
-/// per dimension join, and a dense-grid (or block-summed scalar) aggregate;
-/// each referenced fact column is loaded into registers exactly once. The
-/// engine is device-profile agnostic: executed on the V100 profile it is
+/// per dimension join, and a dense-grid (or block-reduced scalar) aggregate
+/// computed by the shared evaluator (query/agg_program.h) over each tile's
+/// survivors; each referenced fact column is loaded into registers exactly
+/// once. The engine is device-profile agnostic: on the V100 profile it is
 /// the "Standalone GPU" system; executed on the Skylake profile it models
 /// the equivalent vectorized "Standalone CPU" implementation (Section 3.2),
 /// with CPU memory stalls applied by the timing model.
@@ -63,10 +65,11 @@ class CrystalEngine {
   CrystalEngine(sim::Device& device, const Database& db);
 
   /// Runs a spec; resets device stats first so the report covers exactly
-  /// this query.
-  EngineRun Run(const query::QuerySpec& spec,
-                const sim::LaunchConfig& config = {});
-  EngineRun Run(QueryId id, const sim::LaunchConfig& config = {}) {
+  /// this query. An aggregate overflow fails the run with kOutOfRange
+  /// (query::kOverflowMsg).
+  StatusOr<EngineRun> Run(const query::QuerySpec& spec,
+                          const sim::LaunchConfig& config = {});
+  StatusOr<EngineRun> Run(QueryId id, const sim::LaunchConfig& config = {}) {
     return Run(query::SsbSpec(id), config);
   }
 

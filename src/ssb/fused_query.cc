@@ -16,6 +16,7 @@
 #include "common/timer.h"
 #include "cpu/build_cache.h"
 #include "cpu/vector_ops.h"
+#include "query/agg_program.h"
 #include "query/footprint.h"
 #include "query/pipeline.h"
 
@@ -24,9 +25,6 @@ namespace crystal::ssb {
 namespace {
 
 constexpr int kVector = query::kVectorRows;
-
-constexpr char kOverflowMsg[] =
-    "aggregate sum overflowed the checked 64-bit accumulator";
 
 // Thread-local dense aggregation grids over donated or private scratch,
 // merged after the parallel scan. Each cell holds plan.num_slots()
@@ -212,129 +210,6 @@ class SparseGrid {
   std::vector<int64_t> values_;  // stride plan_->num_slots()
   int64_t count_ = 0;
 };
-
-// ------------------------------------------------ aggregate programs
-//
-// The aggregation stage of a vector runs column-at-a-time over its m
-// surviving rows: the lowered program (query::AggStage) fills int64
-// scratch vectors with every slot's input, then each slot folds its input
-// into the accumulators in one tight loop. Every accumulator sees its
-// rows' values in row order and every add that could overflow is checked,
-// so results and overflow diagnostics match per-row evaluation (the
-// reference interpreter) bit for bit.
-
-/// One lane-wise binary op over m lanes; `f(x, y, &out)` returns true on
-/// overflow, and the flags are ORed. Immediates stay in a register.
-template <typename F>
-bool Lanes(const query::AggOp& op, int64_t* vecs, int m, F f) {
-  const auto vec = [vecs](int v) {
-    return vecs + static_cast<ptrdiff_t>(v) * kVector;
-  };
-  int64_t* d = vec(op.dst);
-  bool overflow = false;
-  if (op.a.vec >= 0 && op.b.vec >= 0) {
-    const int64_t* a = vec(op.a.vec);
-    const int64_t* b = vec(op.b.vec);
-    for (int i = 0; i < m; ++i) overflow |= f(a[i], b[i], &d[i]);
-  } else if (op.a.vec >= 0) {
-    const int64_t* a = vec(op.a.vec);
-    const int64_t b = op.b.imm;
-    for (int i = 0; i < m; ++i) overflow |= f(a[i], b, &d[i]);
-  } else {
-    const int64_t a = op.a.imm;
-    const int64_t* b = vec(op.b.vec);
-    for (int i = 0; i < m; ++i) overflow |= f(a, b[i], &d[i]);
-  }
-  return !overflow;
-}
-
-/// Runs one arithmetic op; false on overflow. Unchecked ops are the ones
-/// the lowering proved cannot overflow, so they vectorize plainly.
-bool RunArith(const query::AggOp& op, int64_t* vecs, int m) {
-  using Kind = query::AggOp::Kind;
-  if (!op.checked) {
-    switch (op.kind) {
-      case Kind::kAdd:
-        return Lanes(op, vecs, m, [](int64_t x, int64_t y, int64_t* r) {
-          *r = x + y;
-          return false;
-        });
-      case Kind::kSub:
-        return Lanes(op, vecs, m, [](int64_t x, int64_t y, int64_t* r) {
-          *r = x - y;
-          return false;
-        });
-      default:
-        return Lanes(op, vecs, m, [](int64_t x, int64_t y, int64_t* r) {
-          *r = x * y;
-          return false;
-        });
-    }
-  }
-  switch (op.kind) {
-    case Kind::kAdd:
-      return Lanes(op, vecs, m, [](int64_t x, int64_t y, int64_t* r) {
-        return __builtin_add_overflow(x, y, r);
-      });
-    case Kind::kSub:
-      return Lanes(op, vecs, m, [](int64_t x, int64_t y, int64_t* r) {
-        return __builtin_sub_overflow(x, y, r);
-      });
-    default:
-      return Lanes(op, vecs, m, [](int64_t x, int64_t y, int64_t* r) {
-        return __builtin_mul_overflow(x, y, r);
-      });
-  }
-}
-
-/// Folds `value(i)` of every survivor into its accumulator: acc[off[i]]
-/// for grouped sinks, or — off == nullptr, scalar queries — the single
-/// *acc, kept in a register across the loop.
-template <typename Value, typename Step>
-bool FoldRows(int64_t* acc, const int64_t* off, int m, Value value,
-              Step step) {
-  bool overflow = false;
-  if (off == nullptr) {
-    int64_t a = *acc;
-    for (int i = 0; i < m; ++i) overflow |= step(&a, value(i));
-    *acc = a;
-  } else {
-    for (int i = 0; i < m; ++i) overflow |= step(&acc[off[i]], value(i));
-  }
-  return !overflow;
-}
-
-/// One slot's accumulate loop: SUM and COUNT add, MIN and MAX compare.
-/// `checked` adds OR the per-row overflow flags; callers clear it only
-/// when no partial sum can leave int64 (see Impl::Run). False on
-/// accumulator overflow.
-template <typename Value>
-bool FoldSlot(query::AggFunc func, bool checked, int64_t* acc,
-              const int64_t* off, int m, Value value) {
-  switch (func) {
-    case query::AggFunc::kSum:
-    case query::AggFunc::kCount:
-      if (!checked) {
-        return FoldRows(acc, off, m, value, [](int64_t* a, int64_t x) {
-          *a += x;
-          return false;
-        });
-      }
-      return FoldRows(acc, off, m, value, [](int64_t* a, int64_t x) {
-        return __builtin_add_overflow(*a, x, a);
-      });
-    case query::AggFunc::kMin:
-      return FoldRows(acc, off, m, value, [](int64_t* a, int64_t x) {
-        if (x < *a) *a = x;
-        return false;
-      });
-    default:
-      return FoldRows(acc, off, m, value, [](int64_t* a, int64_t x) {
-        if (x > *a) *a = x;
-        return false;
-      });
-  }
-}
 
 }  // namespace
 
@@ -667,25 +542,22 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
       return cell;
     };
     if (m == 0) continue;
-    if (stage.const_overflow) return OutOfRangeError(kOverflowMsg);
-    // Slot inputs, column-at-a-time over the survivors: every aggregate
-    // column is resolved and widened once, every distinct subexpression
-    // computed once. Only filter/probe survivors are ever evaluated.
+    // Slot inputs, column-at-a-time over the survivors (query/agg_program.h):
+    // every aggregate column is resolved and widened once, every distinct
+    // subexpression computed once. Only filter/probe survivors are ever
+    // evaluated.
     const int32_t* const row_sel = have_sel ? sel : nullptr;
-    for (const query::AggOp& op : stage.program) {
-      if (op.kind != query::AggOp::Kind::kLoad) {
-        if (!RunArith(op, vecs, m)) return OutOfRangeError(kOverflowMsg);
-        continue;
-      }
-      const int32_t* col = resolve(stage.views[static_cast<size_t>(op.col)],
-                                   stage.cols[static_cast<size_t>(op.col)]);
-      int64_t* d = vecs + static_cast<ptrdiff_t>(op.dst) * kVector;
-      if (row_sel != nullptr) {
-        for (int i = 0; i < m; ++i) d[i] = col[row_sel[i]];
-      } else {
-        for (int i = 0; i < m; ++i) d[i] = col[i];
-      }
-    }
+    const bool evaluated = query::RunProgram(
+        stage, vecs, m, [&](int c, int rows, int64_t* d) {
+          const int32_t* col = resolve(stage.views[static_cast<size_t>(c)],
+                                       stage.cols[static_cast<size_t>(c)]);
+          if (row_sel != nullptr) {
+            for (int i = 0; i < rows; ++i) d[i] = col[row_sel[i]];
+          } else {
+            for (int i = 0; i < rows; ++i) d[i] = col[i];
+          }
+        });
+    if (!evaluated) return OutOfRangeError(query::kOverflowMsg);
     // Sink pass: each survivor's accumulator-row offset, once per vector —
     // a dense grid cell, a sparse-table pool offset (the shared table is
     // locked through this pass and the folds), or none for scalar
@@ -707,32 +579,13 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
       for (int i = 0; i < m; ++i) off[i] = cell_of(i) * num_slots;
       offsets = off;
     }
-    // Per-slot accumulate loops. A slot's adds skip the per-row overflow
-    // check when even m more rows at its input bound cannot take any
-    // accumulator of this thread's private sink out of int64 — the
-    // results are the same, the loop vectorizes. The shared table at the
-    // degradation floor is fed by every thread, so it always checks.
-    bool ok = true;
-    for (int sl = 0; sl < num_slots && ok; ++sl) {
-      const query::AggFunc func = plan.slots[static_cast<size_t>(sl)].func;
-      const query::AggOperand& in = stage.inputs[static_cast<size_t>(sl)];
-      const uint64_t bound = stage.input_bounds[static_cast<size_t>(sl)];
-      const bool checked =
-          s.shared_sparse ||
-          (bound > 0 && static_cast<uint64_t>(state.rows + m) >
-                            static_cast<uint64_t>(INT64_MAX) / bound);
-      if (in.vec >= 0) {
-        const int64_t* v = vecs + static_cast<ptrdiff_t>(in.vec) * kVector;
-        ok = FoldSlot(func, checked, acc + sl, offsets, m,
-                      [v](int i) { return v[i]; });
-      } else {
-        const int64_t imm = in.imm;
-        ok = FoldSlot(func, checked, acc + sl, offsets, m,
-                      [imm](int) { return imm; });
-      }
-    }
+    // Per-slot accumulate loops. `state.rows` counts every row this
+    // thread's private sink has seen; the shared table at the degradation
+    // floor is fed by every thread, so it always checks.
+    const bool ok = query::FoldSlots(stage, vecs, m, acc, offsets, state.rows,
+                                     s.shared_sparse);
     state.rows += m;
-    if (!ok) return OutOfRangeError(kOverflowMsg);
+    if (!ok) return OutOfRangeError(query::kOverflowMsg);
   }
   return Status();
 }
@@ -761,7 +614,7 @@ StatusOr<QueryResult> FusedQuery::FinishImpl(ThreadPool& pool) {
   if (s.sparse) {
     for (size_t t = 1; t < s.sparse_grids.size(); ++t) {
       if (!s.sparse_grids[0].Absorb(s.sparse_grids[t])) {
-        return OutOfRangeError(kOverflowMsg);
+        return OutOfRangeError(query::kOverflowMsg);
       }
     }
     s.sparse_grids[0].Emit(s.pipe.layout, &r);
@@ -771,7 +624,7 @@ StatusOr<QueryResult> FusedQuery::FinishImpl(ThreadPool& pool) {
   }
   bool ok = true;
   const std::vector<int64_t>& grid = s.agg.Merge(pool, &ok);
-  if (!ok) return OutOfRangeError(kOverflowMsg);
+  if (!ok) return OutOfRangeError(query::kOverflowMsg);
   if (s.scalar) {
     EmitScalars(plan, grid.data(), &r);
   } else {

@@ -20,7 +20,8 @@ namespace crystal::ssb {
 /// the ordered join-probe cascade, aggregation — over one morsel on one
 /// thread, vector-at-a-time; Finish merges the per-thread state into the
 /// result. Aggregation is column-at-a-time too: the lowered aggregate
-/// program (query::AggStage) computes every slot's input over the
+/// program (query::AggStage, run by the shared evaluator in
+/// query/agg_program.h) computes every slot's input over the
 /// vector's survivors in per-thread scratch vectors, a sink pass resolves
 /// each survivor's accumulator-row offset once (the thread's dense grid
 /// cell, its sparse table's pool offset, or — scalar queries — the

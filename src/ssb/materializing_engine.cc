@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "common/macros.h"
+#include "query/agg_program.h"
 #include "query/pipeline.h"
 
 namespace crystal::ssb {
@@ -206,11 +206,12 @@ MaterializingEngine::Oids MaterializingEngine::ProbeJoin(
   return out;
 }
 
-EngineRun MaterializingEngine::Run(const query::QuerySpec& spec) {
+StatusOr<EngineRun> MaterializingEngine::Run(const query::QuerySpec& spec) {
   device_.ResetStats();
   const query::QueryPipeline pipe = query::LowerToPipeline(spec, db_);
   const query::GroupLayout& layout = pipe.layout;
-  const query::AggPlan& aggs = pipe.agg.plan;
+  const query::AggStage& stage = pipe.agg;
+  const query::AggPlan& aggs = stage.plan;
   EngineRun run;
 
   // Build phase: one domain-sized filtered hash table per probe stage; the
@@ -285,78 +286,57 @@ EngineRun MaterializingEngine::Run(const query::QuerySpec& spec) {
   // Fetch every distinct aggregate input at the surviving rows, then run
   // the final aggregation operator over the expanded slot plan.
   const int slots = aggs.num_slots();
-  int64_t arith_per_row = 0;
-  for (const query::AggSlot& slot : aggs.slots) {
-    arith_per_row += query::ExprArithOps(slot.expr);
-  }
-  sim::DeviceBuffer<int32_t> agg_vals[query::kNumFactCols];  // by FactCol
-  for (size_t c = 0; c < pipe.agg.cols.size(); ++c) {
-    const query::FactCol col = pipe.agg.cols[c];
+  std::vector<sim::DeviceBuffer<int32_t>> agg_vals;  // parallel to stage.cols
+  for (size_t c = 0; c < stage.cols.size(); ++c) {
     const std::string fetch_name =
-        "mat_fetch_" + std::string(query::FactColName(col));
-    agg_vals[static_cast<int>(col)] =
-        Fetch(pipe.agg.views[c], sel, fetch_name.c_str());
+        "mat_fetch_" + std::string(query::FactColName(stage.cols[c]));
+    agg_vals.push_back(Fetch(stage.views[c], sel, fetch_name.c_str()));
   }
-  const int64_t num_inputs = static_cast<int64_t>(pipe.agg.cols.size());
-  auto value_at = [&](const query::AggSlot& slot, int64_t i) {
-    int64_t v = 1;  // counts add 1 per surviving row
-    if (slot.func != query::AggFunc::kCount) {
-      CRYSTAL_CHECK_MSG(
-          query::EvalExpr(
-              slot.expr,
-              [&](query::FactCol c) { return agg_vals[static_cast<int>(c)][i]; },
-              &v),
-          "materializing engine: aggregate expression overflow");
-    }
-    return v;
-  };
-
-  if (layout.scalar()) {
-    int64_t acc[query::kMaxAggSlots];
-    query::FillIdentity(aggs, acc, 1);
-    sim::RunAsKernel(device_, "mat_aggregate", {}, 1, [&] {
-      device_.RecordSeqRead(num_inputs * sel.count * 4);
-      if (arith_per_row > 0) {
-        device_.RecordArithmetic(sel.count * arith_per_row);
-      }
-      for (int64_t i = 0; i < sel.count; ++i) {
-        for (int sl = 0; sl < slots; ++sl) {
-          const query::AggSlot& slot = aggs.slots[static_cast<size_t>(sl)];
-          CRYSTAL_CHECK_MSG(
-              query::AggAccumulate(slot.func, &acc[sl], value_at(slot, i)),
-              "materializing engine: aggregate accumulator overflow");
+  // The final aggregation operator: the shared evaluator over the fetched
+  // survivor columns, kVectorRows at a time, folding into one accumulator
+  // row (scalar) or the grid at each row's cell (grouped).
+  const bool grouped = !layout.scalar();
+  const int64_t input_cols =
+      layout.num_keys + static_cast<int64_t>(stage.cols.size());
+  std::vector<int64_t> acc(static_cast<size_t>(layout.cells * slots));
+  query::FillIdentity(aggs, acc.data(), layout.cells);
+  std::vector<int64_t> vecs(static_cast<size_t>(stage.num_vectors) *
+                            query::kVectorRows);
+  bool ok = true;
+  sim::RunAsKernel(
+      device_, grouped ? "mat_groupby" : "mat_aggregate", {}, 1, [&] {
+        device_.RecordSeqRead(input_cols * sel.count * 4);
+        if (stage.arith_per_row > 0) {
+          device_.RecordArithmetic(sel.count * stage.arith_per_row);
         }
-      }
-    });
-    EmitScalars(aggs, acc, &run.result);
+        if (grouped) device_.RecordAtomic(sel.count * slots);  // (row, slot)
+        int64_t off[query::kVectorRows];
+        for (int64_t base = 0; ok && base < sel.count;
+             base += query::kVectorRows) {
+          const int m = static_cast<int>(
+              std::min<int64_t>(query::kVectorRows, sel.count - base));
+          for (int i = 0; grouped && i < m; ++i) {
+            int32_t keys[3];
+            for (int k = 0; k < layout.num_keys; ++k) {
+              keys[k] = group_vals[static_cast<size_t>(k)][base + i];
+            }
+            off[i] = layout.CellFor(keys) * slots;
+          }
+          const auto widen = [&](int c, int count, int64_t* dst) {
+            const sim::DeviceBuffer<int32_t>& col =
+                agg_vals[static_cast<size_t>(c)];
+            for (int i = 0; i < count; ++i) dst[i] = col[base + i];
+          };
+          ok = query::RunProgram(stage, vecs.data(), m, widen) &&
+               query::FoldSlots(stage, vecs.data(), m, acc.data(),
+                                grouped ? off : nullptr, base);
+        }
+      });
+  if (!ok) return OutOfRangeError(query::kOverflowMsg);
+  if (grouped) {
+    EmitDenseGroups(layout, aggs, acc.data(), &run.result);
   } else {
-    std::vector<int64_t> grid(static_cast<size_t>(layout.cells * slots));
-    query::FillIdentity(aggs, grid.data(), layout.cells);
-    const int64_t input_cols = layout.num_keys + num_inputs;
-    sim::RunAsKernel(device_, "mat_groupby", {}, 1, [&] {
-      device_.RecordSeqRead(input_cols * sel.count * 4);
-      if (arith_per_row > 0) {
-        device_.RecordArithmetic(sel.count * arith_per_row);
-      }
-      for (int64_t i = 0; i < sel.count; ++i) {
-        int64_t cell = 0;
-        for (int k = 0; k < layout.num_keys; ++k) {
-          cell = cell * layout.span[k] +
-                 (group_vals[static_cast<size_t>(k)][i] - layout.lo[k]);
-        }
-        for (int sl = 0; sl < slots; ++sl) {
-          const query::AggSlot& slot = aggs.slots[static_cast<size_t>(sl)];
-          device_.RecordAtomic();
-          CRYSTAL_CHECK_MSG(
-              query::AggAccumulate(slot.func,
-                                   &grid[static_cast<size_t>(
-                                       cell * slots + sl)],
-                                   value_at(slot, i)),
-              "materializing engine: aggregate accumulator overflow");
-        }
-      }
-    });
-    EmitDenseGroups(layout, aggs, grid.data(), &run.result);
+    EmitScalars(aggs, acc.data(), &run.result);
   }
   FinalizeRun(device_, db_, spec, &run);
   return run;

@@ -13,7 +13,8 @@ namespace crystal::ssb {
 /// operator chain is assembled generically from the QuerySpec — select +
 /// refine for the fact filters, fetch + probe per dimension join (with
 /// payload realignment after each), fetch for the aggregate inputs, one
-/// group-by kernel at the end.
+/// aggregate kernel at the end that runs the shared evaluator
+/// (query/agg_program.h) over the fetched columns.
 ///
 /// This is the execution model the paper's two weak baselines share:
 ///  * run on the Skylake profile it stands in for MonetDB (Section 2.3:
@@ -29,8 +30,10 @@ class MaterializingEngine {
  public:
   MaterializingEngine(sim::Device& device, const Database& db);
 
-  EngineRun Run(const query::QuerySpec& spec);
-  EngineRun Run(QueryId id) { return Run(query::SsbSpec(id)); }
+  /// Runs a spec; an aggregate overflow fails the run with kOutOfRange
+  /// (query::kOverflowMsg).
+  StatusOr<EngineRun> Run(const query::QuerySpec& spec);
+  StatusOr<EngineRun> Run(QueryId id) { return Run(query::SsbSpec(id)); }
 
  private:
   // Operator-at-a-time primitives. Selection vectors, fetched columns and

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/aligned.h"
+#include "common/bitutil.h"
 #include "common/macros.h"
 
 namespace crystal::storage {
@@ -98,14 +99,7 @@ class ColumnView {
   int32_t Get(int64_t i) const {
     CRYSTAL_DCHECK(i >= 0 && i < rows_);
     if (!packed()) return plain_[i];
-    const int64_t bit = i * bits_;
-    const int64_t word = bit >> 5;
-    const uint64_t window = static_cast<uint64_t>(words_[word]) |
-                            (static_cast<uint64_t>(words_[word + 1]) << 32);
-    const uint32_t mask =
-        bits_ >= 32 ? ~0u : ((1u << bits_) - 1u);
-    const uint32_t raw = static_cast<uint32_t>(window >> (bit & 31)) & mask;
-    return static_cast<int32_t>(raw) + reference_;
+    return DecodePacked(words_, bits_, reference_, i);
   }
 
   /// Bytes this column occupies (and ships): rows*4 plain, else

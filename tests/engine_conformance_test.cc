@@ -158,6 +158,20 @@ constexpr const char* kAdhocSpecs[] = {
     // IN-set build filter grouped by the same column.
     "sum supplycost join part on partkey "
     "filter p_brand1 in {1101, 2203, 3305} group by p_brand1",
+    // Grouped AVG/MIN/MAX/COUNT over expressions: every fold shape of the
+    // shared aggregate program in one grid.
+    "avg extendedprice*discount, min extendedprice-supplycost, "
+    "max revenue*quantity, count join date on orderdate "
+    "filter d_year in 1993..1995 group by d_year",
+    // Scalar: a constant folded into a shared subexpression, reused by a
+    // longer chain, plus an immediate-operand MIN.
+    "sum extendedprice*(100-discount), "
+    "sum extendedprice*(100-discount)*(100+quantity), "
+    "min 3*quantity+1 where discount in 1..3",
+    // One subexpression feeding MAX and MIN over a two-key grid.
+    "max revenue-supplycost, min revenue-supplycost join part on partkey "
+    "filter p_mfgr = 2 join supplier on suppkey filter s_region = 1 "
+    "group by p_category, s_nation",
 };
 
 class AdhocConformanceTest

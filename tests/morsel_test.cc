@@ -18,12 +18,18 @@
 #include "common/thread_pool.h"
 #include "cpu/build_cache.h"
 #include "cpu/vector_ops.h"
+#include "engine/registry.h"
+#include "query/agg_program.h"
 #include "query/footprint.h"
 #include "query/parser.h"
 #include "query/pipeline.h"
 #include "query/ssb_specs.h"
+#include "sim/device.h"
+#include "sim/profile.h"
+#include "ssb/crystal_engine.h"
 #include "ssb/datagen.h"
 #include "ssb/fused_query.h"
+#include "ssb/materializing_engine.h"
 #include "ssb/queries.h"
 #include "ssb/vectorized_cpu_engine.h"
 
@@ -543,8 +549,8 @@ TEST(FusedQueryDegradationTest, SharedSparseFloorIsBitIdentical) {
 
 // --------------------------------------------------------------- overflow
 //
-// The reference interpreter aborts on overflow, so these assert the fused
-// engine's status instead of comparing against a reference answer.
+// The reference interpreter aborts on overflow, so these assert the
+// engines' status instead of comparing against a reference answer.
 
 /// SF1 dimensions over a 60K-row fact sample in either storage encoding:
 /// twice the parity sample, so every d_year group's sum of
@@ -563,8 +569,30 @@ const Database& OverflowDb(bool packed) {
   return packed ? *bitpacked : *plain;
 }
 
-constexpr char kOverflowMsg[] =
-    "aggregate sum overflowed the checked 64-bit accumulator";
+// Rows above extendedprice 55 108 overflow the expression itself; MAX
+// cannot overflow its accumulator, so only the program's check fires. A
+// constant subexpression that overflows fails every evaluated row.
+constexpr const char* kExpressionOverflowSpecs[] = {
+    "sum extendedprice*extendedprice*extendedprice*extendedprice",
+    "max extendedprice*extendedprice*extendedprice*extendedprice",
+    "sum quantity*(2000000000*2000000000*4)",
+};
+
+// Every row's value fits (extendedprice^3 * quantity < 1.1e16); the sums
+// do not, scalar or per d_year group.
+constexpr const char* kAccumulatorOverflowSpecs[] = {
+    "sum extendedprice*extendedprice*extendedprice*quantity",
+    "sum extendedprice*extendedprice*extendedprice*quantity join date on "
+    "orderdate group by d_year",
+};
+
+// The first expression overflow succeeds once the filter removes every row
+// that would overflow it. (A SUM of it would overflow its accumulator
+// within a few rows, so MIN/MAX/COUNT carry the check.)
+constexpr char kFilteredOverflowSpec[] =
+    "max extendedprice*extendedprice*extendedprice*extendedprice, "
+    "min extendedprice*extendedprice*extendedprice*extendedprice, count "
+    "where extendedprice in 1..50000";
 
 /// Runs `spec` through FusedQuery over `db` on two threads in morsels of
 /// `morsel` rows, and returns Finish's result or first error.
@@ -605,31 +633,18 @@ class FusedOverflowTest : public testing::TestWithParam<OverflowParam> {
         RunFused(Adhoc(text), db(), GetParam().morsel);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
-    EXPECT_EQ(result.status().message(), kOverflowMsg);
+    EXPECT_EQ(result.status().message(), query::kOverflowMsg);
   }
 
   DispatchGuard guard_;
 };
 
 TEST_P(FusedOverflowTest, ExpressionOverflowFailsTheQuery) {
-  // Rows above extendedprice 55 108 overflow the expression itself; MAX
-  // cannot overflow its accumulator, so only the program's check fires.
-  ExpectOverflow("sum extendedprice*extendedprice*extendedprice*"
-                 "extendedprice");
-  ExpectOverflow("max extendedprice*extendedprice*extendedprice*"
-                 "extendedprice");
-  // A constant subexpression that overflows fails every evaluated row.
-  ExpectOverflow("sum quantity*(2000000000*2000000000*4)");
+  for (const char* text : kExpressionOverflowSpecs) ExpectOverflow(text);
 }
 
 TEST_P(FusedOverflowTest, FilteredRowsAreNeverEvaluated) {
-  // The same expression succeeds once the filter removes every row that
-  // would overflow it. (A SUM of it would overflow its accumulator within
-  // a few rows, so MIN/MAX/COUNT carry the check.)
-  const query::QuerySpec spec = Adhoc(
-      "max extendedprice*extendedprice*extendedprice*extendedprice, "
-      "min extendedprice*extendedprice*extendedprice*extendedprice, count "
-      "where extendedprice in 1..50000");
+  const query::QuerySpec spec = Adhoc(kFilteredOverflowSpec);
   const StatusOr<QueryResult> result =
       RunFused(spec, db(), GetParam().morsel);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -637,12 +652,7 @@ TEST_P(FusedOverflowTest, FilteredRowsAreNeverEvaluated) {
 }
 
 TEST_P(FusedOverflowTest, AccumulatorOverflowFailsTheQuery) {
-  // Every row's value fits (extendedprice^3 * quantity < 1.1e16); the
-  // sums do not, scalar or per d_year group.
-  ExpectOverflow("sum extendedprice*extendedprice*extendedprice*quantity");
-  ExpectOverflow(
-      "sum extendedprice*extendedprice*extendedprice*quantity join date on "
-      "orderdate group by d_year");
+  for (const char* text : kAccumulatorOverflowSpecs) ExpectOverflow(text);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -662,6 +672,102 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.simd ? "_simd" : "_scalar") + "_morsel" +
              std::to_string(info.param.morsel);
     });
+
+// The simulated engines evaluate aggregates through the same program
+// (query/agg_program.h) — crystal-gpu-sim over each tile's survivors,
+// materializing over the fetched survivor columns — so they fail the same
+// specs with the same status, and never evaluate a filtered row either.
+
+struct SimOverflowParam {
+  bool materializing;  // else CrystalEngine
+  bool gpu;            // V100 profile, else Skylake
+  sim::LaunchConfig launch;
+  bool packed;
+};
+
+class SimOverflowTest : public testing::TestWithParam<SimOverflowParam> {
+ protected:
+  const Database& db() const { return OverflowDb(GetParam().packed); }
+
+  StatusOr<QueryResult> Run(const query::QuerySpec& spec) const {
+    const SimOverflowParam& p = GetParam();
+    sim::Device device(p.gpu ? sim::DeviceProfile::V100()
+                             : sim::DeviceProfile::SkylakeI7());
+    StatusOr<EngineRun> run =
+        p.materializing ? MaterializingEngine(device, db()).Run(spec)
+                        : CrystalEngine(device, db()).Run(spec, p.launch);
+    if (!run.ok()) return run.status();
+    return std::move(run->result);
+  }
+
+  void ExpectOverflow(const std::string& text) const {
+    SCOPED_TRACE(text);
+    const StatusOr<QueryResult> result = Run(Adhoc(text));
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(result.status().message(), query::kOverflowMsg);
+  }
+};
+
+TEST_P(SimOverflowTest, ExpressionOverflowFailsTheQuery) {
+  for (const char* text : kExpressionOverflowSpecs) ExpectOverflow(text);
+}
+
+TEST_P(SimOverflowTest, AccumulatorOverflowFailsTheQuery) {
+  for (const char* text : kAccumulatorOverflowSpecs) ExpectOverflow(text);
+}
+
+TEST_P(SimOverflowTest, FilteredRowsAreNeverEvaluated) {
+  const query::QuerySpec spec = Adhoc(kFilteredOverflowSpec);
+  const StatusOr<QueryResult> result = Run(spec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(*result == RunReference(db(), spec));
+}
+
+std::vector<SimOverflowParam> SimOverflowParams() {
+  std::vector<SimOverflowParam> params;
+  for (bool packed : {false, true}) {
+    params.push_back({false, true, {}, packed});
+    params.push_back({false, false, {}, packed});
+    // A 2048-item tile: its survivors span two program vectors.
+    params.push_back({false, true, {256, 8}, packed});
+    params.push_back({true, true, {}, packed});
+    params.push_back({true, false, {}, packed});
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EngineProfileStorage, SimOverflowTest,
+    testing::ValuesIn(SimOverflowParams()),
+    [](const testing::TestParamInfo<SimOverflowParam>& info) {
+      const SimOverflowParam& p = info.param;
+      return std::string(p.materializing ? "materializing" : "crystal") +
+             (p.gpu ? "_v100" : "_skylake") + "_tile" +
+             std::to_string(p.launch.tile_items()) +
+             (p.packed ? "_packed" : "_plain");
+    });
+
+// The registry adapters have no error path yet: a failed simulated run
+// stops the process with the overflow status, as vectorized-cpu does,
+// while a spec that does not overflow answers like the reference.
+TEST(SimOverflowDeathTest, AdaptersStopWithTheOverflowStatus) {
+  // Datagen leaves pool threads behind; re-exec instead of a bare fork.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  engine::EngineContext context;
+  context.db = &OverflowDb(false);
+  for (const char* name : {"crystal-gpu-sim", "coprocessor", "materializing"}) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<engine::QueryEngine> engine =
+        engine::EngineRegistry::Global().Create(name, context);
+    ASSERT_NE(engine, nullptr);
+    const query::QuerySpec filtered = Adhoc(kFilteredOverflowSpec);
+    EXPECT_TRUE(engine->Execute(filtered).result ==
+                RunReference(*context.db, filtered));
+    EXPECT_DEATH(engine->Execute(Adhoc(kAccumulatorOverflowSpecs[1])),
+                 "kOutOfRange: aggregate sum overflowed");
+  }
+}
 
 // ------------------------------------------------------------- footprint
 

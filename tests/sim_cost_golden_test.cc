@@ -147,9 +147,9 @@ TEST(SimCostGoldenTest, ModeledCostsMatchTable) {
           sim::Device device(profile.profile);
           EngineRun run;
           if (std::string(engine) == "materializing") {
-            run = MaterializingEngine(device, db).Run(spec);
+            run = MaterializingEngine(device, db).Run(spec).value();
           } else {
-            run = CrystalEngine(device, db).Run(spec);
+            run = CrystalEngine(device, db).Run(spec).value();
           }
           const sim::MemStats& s = device.stats();
           const GoldenRow got = {engine,

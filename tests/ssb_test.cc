@@ -115,7 +115,7 @@ TEST_P(EngineEquivalenceTest, CrystalGpuMatchesReference) {
   sim::Device dev(sim::DeviceProfile::V100());
   CrystalEngine engine(dev, TestDb());
   const QueryResult want = RunReference(TestDb(), id);
-  const EngineRun run = engine.Run(id);
+  const EngineRun run = engine.Run(id).value();
   EXPECT_EQ(run.result, want)
       << QueryName(id) << "\n got: " << run.result.ToString()
       << "\nwant: " << want.ToString();
@@ -128,7 +128,7 @@ TEST_P(EngineEquivalenceTest, CrystalCpuProfileMatchesReference) {
   sim::Device dev(sim::DeviceProfile::SkylakeI7());
   CrystalEngine engine(dev, TestDb());
   const QueryResult want = RunReference(TestDb(), id);
-  EXPECT_EQ(engine.Run(id).result, want) << QueryName(id);
+  EXPECT_EQ(engine.Run(id)->result, want) << QueryName(id);
 }
 
 TEST_P(EngineEquivalenceTest, MaterializingMatchesReference) {
@@ -136,7 +136,7 @@ TEST_P(EngineEquivalenceTest, MaterializingMatchesReference) {
   sim::Device dev(sim::DeviceProfile::V100());
   MaterializingEngine engine(dev, TestDb());
   const QueryResult want = RunReference(TestDb(), id);
-  const EngineRun run = engine.Run(id);
+  const EngineRun run = engine.Run(id).value();
   EXPECT_EQ(run.result, want)
       << QueryName(id) << "\n got: " << run.result.ToString()
       << "\nwant: " << want.ToString();
@@ -161,8 +161,8 @@ TEST(EngineCostTest, GpuBeatsCpuOnEveryQuery) {
   CrystalEngine gpu_engine(gpu, db);
   CrystalEngine cpu_engine(cpu, db);
   for (QueryId id : kAllQueries) {
-    const double g = gpu_engine.Run(id).probe_ms;
-    const double c = cpu_engine.Run(id).probe_ms;
+    const double g = gpu_engine.Run(id)->probe_ms;
+    const double c = cpu_engine.Run(id)->probe_ms;
     EXPECT_GT(c, 5.0 * g) << QueryName(id);
   }
 }
@@ -174,8 +174,8 @@ TEST(EngineCostTest, MaterializingCostsMoreThanCrystalOnGpu) {
   MaterializingEngine mat_engine(b, TestDb());
   for (QueryId id : {QueryId::kQ11, QueryId::kQ21, QueryId::kQ31,
                      QueryId::kQ41}) {
-    const double fused = crystal_engine.Run(id).probe_ms;
-    const double mat = mat_engine.Run(id).probe_ms;
+    const double fused = crystal_engine.Run(id)->probe_ms;
+    const double mat = mat_engine.Run(id)->probe_ms;
     EXPECT_GT(mat, 1.5 * fused) << QueryName(id);
   }
 }
@@ -185,7 +185,7 @@ TEST(EngineCostTest, Q1TrafficBoundedBySixteenBytesPerRow) {
   // 4 columns; selective predicates can only reduce that.
   sim::Device dev(sim::DeviceProfile::V100());
   CrystalEngine engine(dev, TestDb());
-  engine.Run(QueryId::kQ11);
+  ASSERT_TRUE(engine.Run(QueryId::kQ11).ok());
   const auto& st = dev.stats();
   EXPECT_LE(st.seq_read_bytes,
             static_cast<uint64_t>(16 * TestDb().lo.rows) + (1 << 20));
