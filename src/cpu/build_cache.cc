@@ -8,6 +8,7 @@
 #include <exception>
 #include <iterator>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -32,6 +33,32 @@ std::atomic<bool>& DirectFlag() {
   return enabled;
 }
 
+/// (min, max) of v[0..n), n > 0.
+std::pair<int32_t, int32_t> Range(const int32_t* v, int64_t n) {
+  int32_t lo = v[0];
+  int32_t hi = v[0];
+  for (int64_t i = 1; i < n; ++i) {
+    lo = std::min(lo, v[i]);
+    hi = std::max(hi, v[i]);
+  }
+  return {lo, hi};
+}
+
+/// Stores the low `width` bytes of v (little-endian) at slot `off`.
+void StoreSlot(uint8_t* payload, int width, int64_t off, int32_t v) {
+  switch (width) {
+    case 1:
+      payload[off] = static_cast<uint8_t>(v);
+      break;
+    case 2:
+      std::memcpy(payload + 2 * off, &v, 2);
+      break;
+    default:
+      std::memcpy(payload + 4 * off, &v, 4);
+      break;
+  }
+}
+
 }  // namespace
 
 bool DirectJoinEnabled() {
@@ -42,48 +69,88 @@ void SetDirectJoinEnabled(bool enabled) {
   DirectFlag().store(enabled, std::memory_order_relaxed);
 }
 
+JoinLayout PlanJoinLayout(const int32_t* keys, const int32_t* payloads,
+                          int64_t n, bool reads_payload) {
+  JoinLayout layout;
+  layout.hash_slots = HashTable::SlotsFor(std::max<int64_t>(n, 1), 1.0);
+  if (n <= 0 || !DirectJoinEnabled()) return layout;
+  const auto [min_key, max_key] = Range(keys, n);
+  const int64_t span = static_cast<int64_t>(max_key) - min_key + 1;
+  if (span > std::max<int64_t>(4 * n, int64_t{1} << 16) ||
+      span > kMaxDirectSpan) {
+    return layout;
+  }
+  layout.hash_slots = 0;
+  layout.base = min_key;
+  layout.span = span;
+  if (!reads_payload) {
+    layout.form = JoinForm::kBitmap;
+    return layout;
+  }
+  const auto [min_pay, max_pay] = Range(payloads, n);
+  layout.width = min_pay < 0                    ? 4
+                 : max_pay < DirectSentinel(1) ? 1
+                 : max_pay < DirectSentinel(2) ? 2
+                                               : 4;
+  const bool sentinel_free = layout.width < 4 || min_pay != DirectSentinel(4);
+  layout.form = sentinel_free && span * layout.width <= kMaxSingleLevelBytes
+                    ? JoinForm::kPayload
+                    : JoinForm::kTwoLevel;
+  return layout;
+}
+
 JoinTable BuildJoinTable(const int32_t* keys, const int32_t* payloads,
                          int64_t n,
                          const std::function<bool(int64_t)>& pred,
-                         ThreadPool& pool) {
+                         bool reads_payload, ThreadPool& pool) {
   JoinTable table;
-  int32_t min_key = 0;
-  int32_t max_key = -1;
-  if (n > 0) {
-    min_key = keys[0];
-    max_key = keys[0];
-    for (int64_t i = 1; i < n; ++i) {
-      min_key = std::min(min_key, keys[i]);
-      max_key = std::max(max_key, keys[i]);
-    }
-  }
-  const int64_t span = static_cast<int64_t>(max_key) - min_key + 1;
-  const bool direct = DirectJoinEnabled() && n > 0 &&
-                      span <= std::max<int64_t>(4 * n, int64_t{1} << 16) &&
-                      span <= kMaxDirectSpan;
-  if (direct) {
-    table.base = min_key;
-    table.direct.assign(static_cast<size_t>(span), kDirectAbsent);
-    int32_t* slots = table.direct.data();
-    const int32_t base = min_key;
-    // Keys are unique, so the parallel stores hit disjoint slots.
+  table.layout = PlanJoinLayout(keys, payloads, n, reads_payload);
+  const JoinLayout& layout = table.layout;
+  if (layout.form == JoinForm::kHash) {
+    // Domain-sized (perfect-hash-style) table, matching the paper's
+    // sizing; threads claim slots directly with compare-and-swap.
+    table.hash.emplace(std::max<int64_t>(n, 1), /*max_fill=*/1.0);
     pool.ParallelFor(n, [&](int, int64_t begin, int64_t end) {
       for (int64_t i = begin; i < end; ++i) {
-        if (!pred(i)) continue;
-        CRYSTAL_CHECK_MSG(payloads[i] != kDirectAbsent,
-                          "payload collides with the absent sentinel");
-        slots[keys[i] - base] = payloads[i];
+        if (pred(i)) table.hash->Insert(keys[i], payloads[i]);
       }
     });
     return table;
   }
-  // Domain-sized (perfect-hash-style) table, matching the paper's sizing;
-  // threads claim slots directly with compare-and-swap.
-  table.hash.emplace(std::max<int64_t>(n, 1), /*max_fill=*/1.0);
+  table.bits.assign(static_cast<size_t>(layout.bitmap_words()), 0);
+  table.payload.resize(static_cast<size_t>(layout.payload_bytes()));
+  uint32_t* words = layout.has_bits() ? table.bits.data() : nullptr;
+  uint8_t* slots = layout.has_payload() ? table.payload.data() : nullptr;
+  const int width = layout.width;
+  const int32_t base = layout.base;
+  if (layout.form == JoinForm::kPayload) {
+    const int32_t sentinel = DirectSentinel(width);
+    pool.ParallelFor(layout.span, [&](int, int64_t begin, int64_t end) {
+      for (int64_t off = begin; off < end; ++off) {
+        StoreSlot(slots, width, off, sentinel);
+      }
+    });
+  }
+  // Keys are unique, so payload stores hit disjoint slots. Bitmap bits
+  // are merged per word: each thread ORs a word in once per run of its
+  // rows that land in it (one atomic per 32 rows for dense sorted keys),
+  // and runs at a partition edge may share a word with the neighbour.
   pool.ParallelFor(n, [&](int, int64_t begin, int64_t end) {
+    int64_t word = -1;
+    uint32_t run = 0;
     for (int64_t i = begin; i < end; ++i) {
-      if (pred(i)) table.hash->Insert(keys[i], payloads[i]);
+      if (!pred(i)) continue;
+      const int64_t off = static_cast<int64_t>(keys[i]) - base;
+      if (slots != nullptr) StoreSlot(slots, width, off, payloads[i]);
+      if (words == nullptr) continue;
+      if ((off >> 5) != word) {
+        if (word >= 0) __atomic_fetch_or(&words[word], run, __ATOMIC_RELAXED);
+        word = off >> 5;
+        run = 0;
+      }
+      run |= 1u << (off & 31);
     }
+    if (word >= 0) __atomic_fetch_or(&words[word], run, __ATOMIC_RELAXED);
   });
   return table;
 }

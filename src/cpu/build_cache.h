@@ -19,27 +19,90 @@
 
 namespace crystal::cpu {
 
+/// Direct payload arrays larger than this (half the 2 MiB per-core L2)
+/// get a presence bitmap in front: every probe row tests the bitmap, and
+/// only survivors gather their payload (the two-level form). Smaller
+/// arrays stay one gather per probe. The footprint model plans with the
+/// same constant (query::EstimateFootprint via PlanJoinLayout).
+inline constexpr int64_t kMaxSingleLevelBytes = int64_t{1} << 20;
+
+/// Representation of one build side.
+enum class JoinForm : uint8_t {
+  kHash,      // linear-probing HashTable (non-compact key domain)
+  kBitmap,    // presence bitmap: the probe reads no payload
+  kPayload,   // width-byte payload array, sentinel in absent slots
+  kTwoLevel,  // presence bitmap + width-byte payload array
+};
+
+/// Geometry of a build side, decided before anything is allocated, so the
+/// footprint model and the builder agree byte for byte.
+struct JoinLayout {
+  JoinForm form = JoinForm::kHash;
+  int width = 4;       // payload bytes per slot (kPayload, kTwoLevel)
+  int32_t base = 0;    // smallest key (direct forms)
+  int64_t span = 0;    // key domain size (direct forms)
+  int64_t hash_slots = 0;  // kHash
+
+  bool has_bits() const {
+    return form == JoinForm::kBitmap || form == JoinForm::kTwoLevel;
+  }
+  bool has_payload() const {
+    return form == JoinForm::kPayload || form == JoinForm::kTwoLevel;
+  }
+  int64_t bitmap_words() const { return has_bits() ? (span + 31) / 32 : 0; }
+  /// span slots plus the 4 - width tail bytes a 4-byte gather may read.
+  int64_t payload_bytes() const {
+    return has_payload() ? span * width + (4 - width) : 0;
+  }
+  int64_t bytes() const {
+    return form == JoinForm::kHash ? hash_slots * 8
+                                   : bitmap_words() * 4 + payload_bytes();
+  }
+};
+
+/// Chooses the representation of the build side over keys[i] -> payloads[i]
+/// for i in [0, n), from the key and payload ranges over *all* n rows (not
+/// only those passing a build filter, so a table's geometry is identical
+/// across filters):
+///  * hash when direct tables are disabled (DirectJoinEnabled()) or the key
+///    domain is not compact: span > max(4n, 2^16), or > 2^26 entries
+///    (256 MB would never be cache-resident);
+///  * else a presence bitmap when the probe reads no payload
+///    (`reads_payload` false — a filter-only join);
+///  * else a payload array at the narrowest width whose all-ones sentinel
+///    is free: uint8 for payloads in [0, 255), uint16 in [0, 65535), else
+///    int32 with INT32_MIN (DirectSentinel);
+///  * two-level instead when that array exceeds kMaxSingleLevelBytes, or when
+///    an int32 payload is INT32_MIN itself (the bitmap needs no
+///    sentinel).
+JoinLayout PlanJoinLayout(const int32_t* keys, const int32_t* payloads,
+                          int64_t n, bool reads_payload);
+
 /// Build side of one dimension join, in the representation the probe
-/// kernels consume: a direct-address payload array when the (filtered)
-/// key domain is compact — every SSB dimension qualifies: customer,
-/// supplier and part carry dense 1..rows surrogate keys and date's
-/// yyyymmdd domain spans ~61K values — or a linear-probing HashTable
-/// otherwise. Immutable after Build*, so instances can be shared
-/// read-only across queries and threads (see BuildCache).
+/// kernels consume (JoinLayout). Immutable after BuildJoinTable, so
+/// instances can be shared read-only across queries and threads (see
+/// BuildCache).
 struct JoinTable {
-  /// Direct-address storage: payload for key k at direct[k - base],
-  /// kDirectAbsent where no build row (passing the filters) has the key.
-  AlignedVector<int32_t> direct;
-  int32_t base = 0;
-  /// Fallback representation; engaged exactly when the table is not
-  /// direct-addressed.
+  JoinLayout layout;
+  /// Presence bitmap (kBitmap, kTwoLevel): bit k - base set when a build
+  /// row passing the filters has key k.
+  AlignedVector<uint32_t> bits;
+  /// Payload array (kPayload, kTwoLevel): layout.width bytes per slot.
+  AlignedVector<uint8_t> payload;
+  /// Engaged exactly for JoinForm::kHash.
   std::optional<HashTable> hash;
 
   bool is_direct() const { return !hash.has_value(); }
+  DirectTable direct() const {
+    return {layout.has_bits() ? bits.data() : nullptr,
+            layout.has_payload() ? payload.data() : nullptr, layout.width,
+            layout.span, layout.base};
+  }
+  /// Bytes actually held; equals layout.bytes() for built tables.
   int64_t bytes() const {
-    return is_direct()
-               ? static_cast<int64_t>(direct.size()) * 4
-               : hash->bytes();
+    return static_cast<int64_t>(bits.size()) * 4 +
+           static_cast<int64_t>(payload.size()) +
+           (hash.has_value() ? hash->bytes() : 0);
   }
 };
 
@@ -54,27 +117,23 @@ bool DirectJoinEnabled();
 void SetDirectJoinEnabled(bool enabled);
 
 /// Builds the lookup table over keys[i] -> payloads[i] for the rows in
-/// [0, n) where pred(i) is true, with one parallel pass over the dimension
-/// (direct stores or CAS hash inserts; keys must be unique and >= 0).
-/// Chooses direct addressing when enabled and the full key domain
-/// [min, max] over all n rows is compact: span <= max(4n, 2^16), capped at
-/// 2^26 entries (256 MB would never be "cache-resident"). Basing the span
-/// on all rows — not just the passing ones — keeps the geometry of a
-/// table's direct representation identical across build filters.
+/// [0, n) where pred(i) is true, in the PlanJoinLayout representation,
+/// with one parallel pass over the dimension (direct stores, bitmap words
+/// merged with atomic ORs, or CAS hash inserts; keys must be unique, and
+/// >= 0 for the hash form). A table built with `reads_payload` false may
+/// be a bitmap, which reports each match's probe key as its payload.
 JoinTable BuildJoinTable(const int32_t* keys, const int32_t* payloads,
                          int64_t n,
                          const std::function<bool(int64_t)>& pred,
-                         ThreadPool& pool);
+                         bool reads_payload, ThreadPool& pool);
 
-/// Probe dispatch over the two representations; contract of ProbeSelect /
+/// Probe dispatch over the representations; contract of ProbeSelect /
 /// ProbeDirect (vector_ops.h).
 inline int ProbeJoinTable(const JoinTable& t, const int32_t* keys,
                           const int32_t* sel, int m, int32_t* sel_out,
                           int32_t* val_out, int32_t* pos_out) {
   if (t.is_direct()) {
-    return ProbeDirect(t.direct.data(),
-                       static_cast<int64_t>(t.direct.size()), t.base, keys,
-                       sel, m, sel_out, val_out, pos_out);
+    return ProbeDirect(t.direct(), keys, sel, m, sel_out, val_out, pos_out);
   }
   return ProbeSelect(*t.hash, keys, sel, m, sel_out, val_out, pos_out);
 }

@@ -9,9 +9,13 @@
 
 namespace crystal::cpu {
 
+int64_t HashTable::SlotsFor(int64_t expected_keys, double max_fill) {
+  return static_cast<int64_t>(NextPowerOfTwo(static_cast<uint64_t>(
+      static_cast<double>(expected_keys) / max_fill + 1)));
+}
+
 HashTable::HashTable(int64_t expected_keys, double max_fill)
-    : slots_(static_cast<size_t>(NextPowerOfTwo(static_cast<uint64_t>(
-          static_cast<double>(expected_keys) / max_fill + 1)))),
+    : slots_(static_cast<size_t>(SlotsFor(expected_keys, max_fill))),
       mask_(static_cast<uint32_t>(slots_.size() - 1)) {
   std::fill(slots_.begin(), slots_.end(), 0);
 }

@@ -22,6 +22,10 @@ class HashTable {
  public:
   explicit HashTable(int64_t expected_keys, double max_fill = 0.5);
 
+  /// Slot count the constructor allocates for these arguments (a power of
+  /// two), so size models can predict bytes() without building.
+  static int64_t SlotsFor(int64_t expected_keys, double max_fill);
+
   /// Movable (builders return tables by value); the atomic insert counter
   /// requires spelling the move out. Not concurrency-safe against in-flight
   /// inserts, like any move.

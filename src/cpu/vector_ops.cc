@@ -110,25 +110,85 @@ int ProbeSelectScalar(const HashTable& ht, const int32_t* keys,
   return w;
 }
 
-int ProbeDirectScalar(const int32_t* table, int64_t span, int32_t base,
-                      const int32_t* keys, const int32_t* sel, int m,
-                      int32_t* sel_out, int32_t* val_out, int32_t* pos_out) {
+/// The `W`-byte little-endian slot `off` of a direct payload array.
+template <int W>
+inline int32_t LoadSlot(const uint8_t* payload, int64_t off) {
+  if constexpr (W == 1) {
+    return payload[off];
+  } else if constexpr (W == 2) {
+    uint16_t v = 0;
+    std::memcpy(&v, payload + 2 * off, 2);
+    return v;
+  } else {
+    int32_t v = 0;
+    std::memcpy(&v, payload + 4 * off, 4);
+    return v;
+  }
+}
+
+/// ProbeDirect for one form (see ProbeDirectForm in vector_ops_avx2.cc):
+/// branch-free predication, the cursor advance a data dependency.
+template <int W, bool kBits, bool kPayload>
+int ProbeDirectScalar(const DirectTable& t, const int32_t* keys,
+                      const int32_t* sel, int m, int32_t* sel_out,
+                      int32_t* val_out, int32_t* pos_out) {
   int w = 0;
   for (int i = 0; i < m; ++i) {
     const int32_t row = sel != nullptr ? sel[i] : i;
     // One unsigned compare folds both range ends (off < 0 wraps huge).
-    const int64_t off = static_cast<int64_t>(keys[row]) - base;
-    if (static_cast<uint64_t>(off) < static_cast<uint64_t>(span)) {
-      const int32_t v = table[off];
-      if (v != kDirectAbsent) {
-        sel_out[w] = row;
-        if (val_out != nullptr) val_out[w] = v;
-        if (pos_out != nullptr) pos_out[w] = i;
-        ++w;
+    const int64_t off = static_cast<int64_t>(keys[row]) - t.base;
+    const bool in = static_cast<uint64_t>(off) < static_cast<uint64_t>(t.span);
+    const int64_t safe = in ? off : 0;
+    int32_t value = 0;
+    bool found = false;
+    if constexpr (kBits) {
+      found = in && ((t.bits[safe >> 5] >> (safe & 31)) & 1u) != 0;
+      value = kPayload ? static_cast<int32_t>(safe) : keys[row];
+    } else {
+      value = LoadSlot<W>(t.payload, safe);
+      found = in && value != DirectSentinel(W);
+    }
+    sel_out[w] = row;
+    if (val_out != nullptr) val_out[w] = value;
+    if (pos_out != nullptr) pos_out[w] = i;
+    w += found ? 1 : 0;
+  }
+  if constexpr (kBits && kPayload) {
+    // Two-level: only the survivors' slots touch the payload array.
+    if (val_out != nullptr) {
+      for (int j = 0; j < w; ++j) {
+        val_out[j] = LoadSlot<W>(t.payload, val_out[j]);
       }
     }
   }
   return w;
+}
+
+int ProbeDirectScalar(const DirectTable& t, const int32_t* keys,
+                      const int32_t* sel, int m, int32_t* sel_out,
+                      int32_t* val_out, int32_t* pos_out) {
+  if (t.payload == nullptr) {
+    return ProbeDirectScalar<4, true, false>(t, keys, sel, m, sel_out,
+                                             val_out, pos_out);
+  }
+  const bool two_level = t.bits != nullptr;
+  switch (t.width) {
+    case 1:
+      return two_level ? ProbeDirectScalar<1, true, true>(
+                             t, keys, sel, m, sel_out, val_out, pos_out)
+                       : ProbeDirectScalar<1, false, true>(
+                             t, keys, sel, m, sel_out, val_out, pos_out);
+    case 2:
+      return two_level ? ProbeDirectScalar<2, true, true>(
+                             t, keys, sel, m, sel_out, val_out, pos_out)
+                       : ProbeDirectScalar<2, false, true>(
+                             t, keys, sel, m, sel_out, val_out, pos_out);
+    default:
+      return two_level ? ProbeDirectScalar<4, true, true>(
+                             t, keys, sel, m, sel_out, val_out, pos_out)
+                       : ProbeDirectScalar<4, false, true>(
+                             t, keys, sel, m, sel_out, val_out, pos_out);
+  }
 }
 
 // ----------------------- packed scalar kernels ---------------------------
@@ -213,15 +273,14 @@ int ProbeSelect(const HashTable& ht, const int32_t* keys, const int32_t* sel,
   return ProbeSelectScalar(ht, keys, sel, m, sel_out, val_out, pos_out);
 }
 
-int ProbeDirect(const int32_t* table, int64_t span, int32_t base,
-                const int32_t* keys, const int32_t* sel, int m,
-                int32_t* sel_out, int32_t* val_out, int32_t* pos_out) {
+int ProbeDirect(const DirectTable& table, const int32_t* keys,
+                const int32_t* sel, int m, int32_t* sel_out,
+                int32_t* val_out, int32_t* pos_out) {
   if (SimdEnabled()) {
-    return internal::ProbeDirectAvx2(table, span, base, keys, sel, m, sel_out,
-                                     val_out, pos_out);
+    return internal::ProbeDirectAvx2(table, keys, sel, m, sel_out, val_out,
+                                     pos_out);
   }
-  return ProbeDirectScalar(table, span, base, keys, sel, m, sel_out, val_out,
-                           pos_out);
+  return ProbeDirectScalar(table, keys, sel, m, sel_out, val_out, pos_out);
 }
 
 void UnpackRange(const uint32_t* words, int bits, int32_t reference,

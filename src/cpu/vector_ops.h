@@ -63,24 +63,47 @@ int RefineRange(const int32_t* col, const int32_t* sel, int m, int32_t lo,
 int ProbeSelect(const HashTable& ht, const int32_t* keys, const int32_t* sel,
                 int m, int32_t* sel_out, int32_t* val_out, int32_t* pos_out);
 
-/// Sentinel payload marking an empty direct-address join-table slot (see
-/// ProbeDirect / cpu::JoinTable). Build sides must never carry it as a real
-/// payload; every SSB dimension attribute is non-negative, so INT32_MIN is
-/// safely out of band.
-inline constexpr int32_t kDirectAbsent = INT32_MIN;
+/// Absent-slot sentinel of a `width`-byte payload array (1, 2 or 4)
+/// without a presence bitmap, as the probe reads it back: all ones for the
+/// narrow widths, INT32_MIN for 4 bytes. Such an array is only built when
+/// no build row carries the sentinel as its payload; a payload range that
+/// contains it takes the two-level form (see DirectTable).
+inline constexpr int32_t DirectSentinel(int width) {
+  return width == 1 ? 0xFF : width == 2 ? 0xFFFF : INT32_MIN;
+}
 
-/// Direct-address probe with selection: the build side is a dense payload
-/// array `table[0..span)` where key k lives at table[k - base] and absent
-/// keys hold kDirectAbsent — the degenerate perfect hash the SSB dimension
-/// tables admit (dense 1..rows surrogate keys; compact yyyymmdd date
-/// domain). Same contract as ProbeSelect otherwise: probes keys[sel[i]]
-/// (or keys[i] when sel == nullptr) for i in [0, m), emits surviving row
-/// indices / payloads / input positions, returns the match count. The AVX2
-/// path is a single bounds-masked 8-lane gather per vector — no hashing and
-/// no probe loop, which is exactly why dense build sides should prefer it.
-int ProbeDirect(const int32_t* table, int64_t span, int32_t base,
-                const int32_t* keys, const int32_t* sel, int m,
-                int32_t* sel_out, int32_t* val_out, int32_t* pos_out);
+/// A direct-address build side as the probe kernels see it (cpu::JoinTable
+/// owns the storage): key k lives at slot k - base of a span-slot domain,
+/// the degenerate perfect hash the SSB dimension tables admit (dense
+/// 1..rows surrogate keys; compact yyyymmdd date domain). Three forms:
+///  * presence bitmap (payload == nullptr): bit (k - base) of `bits` is set
+///    when k has a build row. For filter-only probes; a match's "payload"
+///    is the probe key itself.
+///  * payload array (bits == nullptr): `width`-byte little-endian slots,
+///    DirectSentinel(width) in slots without a build row.
+///  * two-level (both set): the bitmap decides membership for every row and
+///    only the survivors gather their payload, whose slots need no
+///    sentinel.
+/// A payload array carries 4 - width readable bytes past its last slot, so
+/// a 4-byte gather at any slot stays in bounds.
+struct DirectTable {
+  const uint32_t* bits = nullptr;
+  const uint8_t* payload = nullptr;
+  int width = 4;
+  int64_t span = 0;  // < 2^31
+  int32_t base = 0;
+};
+
+/// Direct-address probe with selection, same contract as ProbeSelect:
+/// probes keys[sel[i]] (or keys[i] when sel == nullptr) for i in [0, m),
+/// emits surviving row indices / payloads / input positions, returns the
+/// match count. The AVX2 path is one bounds-masked 8-lane gather per
+/// vector (scale 1, 2 or 4 on payload arrays, a word gather plus a
+/// variable shift on bitmaps) and no branch on the data; the two-level
+/// form gathers payloads in a second pass over the survivors only.
+int ProbeDirect(const DirectTable& table, const int32_t* keys,
+                const int32_t* sel, int m, int32_t* sel_out,
+                int32_t* val_out, int32_t* pos_out);
 
 /// Compacts a carried vector through the positions a ProbeSelect emitted:
 /// v[j] = v[pos[j]] for j in [0, m). Safe in place because pos is strictly

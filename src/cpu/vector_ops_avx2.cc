@@ -6,6 +6,7 @@
 #include "cpu/vector_ops_internal.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/bitutil.h"
 #include "common/macros.h"
@@ -192,16 +193,44 @@ int ProbeSelectAvx2(const HashTable& ht, const int32_t* keys,
   return w;
 }
 
-int ProbeDirectAvx2(const int32_t* table, int64_t span, int32_t base,
-                    const int32_t* keys, const int32_t* sel, int m,
-                    int32_t* sel_out, int32_t* val_out, int32_t* pos_out) {
+namespace {
+
+/// The `W`-byte little-endian slot `off` of a direct payload array. Kept
+/// local to this TU (as every helper here) so the scalar kernels in
+/// vector_ops.cc can never be linked against an AVX2-compiled copy.
+template <int W>
+inline int32_t LoadSlot(const uint8_t* payload, int64_t off) {
+  if constexpr (W == 1) {
+    return payload[off];
+  } else if constexpr (W == 2) {
+    uint16_t v = 0;
+    std::memcpy(&v, payload + 2 * off, 2);
+    return v;
+  } else {
+    int32_t v = 0;
+    std::memcpy(&v, payload + 4 * off, 4);
+    return v;
+  }
+}
+
+/// ProbeDirect for one form: kBits (bitmap membership) and/or kPayload
+/// (a W-byte payload array); both = two-level. Every lane gathers and is
+/// masked, whatever the data: no branch on a vector's match count.
+template <int W, bool kBits, bool kPayload>
+int ProbeDirectForm(const DirectTable& t, const int32_t* keys,
+                    const int32_t* sel, int m, int32_t* sel_out,
+                    int32_t* val_out, int32_t* pos_out) {
   const PermTable& pt = GetPermTable();
-  const __m256i vbase = _mm256_set1_epi32(base);
+  const int* bits = reinterpret_cast<const int*>(t.bits);
+  const int* payload = reinterpret_cast<const int*>(t.payload);
+  const __m256i vbase = _mm256_set1_epi32(t.base);
   const __m256i vzero = _mm256_setzero_si256();
-  // span fits int32: BuildJoinTable caps direct spans far below 2^31.
-  const __m256i vspan_m1 =
-      _mm256_set1_epi32(static_cast<int32_t>(span - 1));
-  const __m256i vabsent = _mm256_set1_epi32(kDirectAbsent);
+  const __m256i vone = _mm256_set1_epi32(1);
+  const __m256i v31 = _mm256_set1_epi32(31);
+  const __m256i vspan_m1 = _mm256_set1_epi32(static_cast<int32_t>(t.span - 1));
+  const __m256i vwidth =
+      _mm256_set1_epi32(W == 1 ? 0xFF : W == 2 ? 0xFFFF : -1);
+  const __m256i vsentinel = _mm256_set1_epi32(DirectSentinel(W));
   int w = 0;
   int i = 0;
   for (; i + 8 <= m; i += 8) {
@@ -214,15 +243,28 @@ int ProbeDirectAvx2(const int32_t* table, int64_t span, int32_t base,
         sel != nullptr
             ? _mm256_i32gather_epi32(keys, idx, 4)
             : _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
+    // 32-bit wrap cannot alias an out-of-domain key into [0, span): base +
+    // span - 1 is itself an int32. Lanes outside are zeroed so the
+    // unmasked gather stays in bounds, then dropped through the mask.
     const __m256i off = _mm256_sub_epi32(k, vbase);
-    // Lanes with 0 <= off < span may gather; the rest are zeroed so the
-    // single unmasked gather stays in bounds, then discarded via the mask.
     const __m256i in_range = InRange(off, vzero, vspan_m1);
     const __m256i safe_off = _mm256_and_si256(off, in_range);
-    const __m256i payload = _mm256_i32gather_epi32(table, safe_off, 4);
-    const __m256i present = _mm256_andnot_si256(
-        _mm256_cmpeq_epi32(payload, vabsent), _mm256_set1_epi32(-1));
-    const __m256i found = _mm256_and_si256(in_range, present);
+    __m256i value = vzero;
+    __m256i found = vzero;
+    if constexpr (kBits) {
+      const __m256i word =
+          _mm256_i32gather_epi32(bits, _mm256_srli_epi32(safe_off, 5), 4);
+      const __m256i bit = _mm256_and_si256(
+          _mm256_srlv_epi32(word, _mm256_and_si256(safe_off, v31)), vone);
+      found = _mm256_and_si256(in_range, _mm256_cmpeq_epi32(bit, vone));
+      // Two-level: carry the slot to the survivor-only payload pass.
+      value = kPayload ? safe_off : k;
+    } else {
+      value = _mm256_i32gather_epi32(payload, safe_off, W);
+      if constexpr (W < 4) value = _mm256_and_si256(value, vwidth);
+      found = _mm256_andnot_si256(_mm256_cmpeq_epi32(value, vsentinel),
+                                  in_range);
+    }
     const int mask8 = _mm256_movemask_ps(_mm256_castsi256_ps(found));
     const __m256i perm =
         _mm256_load_si256(reinterpret_cast<const __m256i*>(pt.idx[mask8]));
@@ -230,7 +272,7 @@ int ProbeDirectAvx2(const int32_t* table, int64_t span, int32_t base,
                         _mm256_permutevar8x32_epi32(idx, perm));
     if (val_out != nullptr) {
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(val_out + w),
-                          _mm256_permutevar8x32_epi32(payload, perm));
+                          _mm256_permutevar8x32_epi32(value, perm));
     }
     if (pos_out != nullptr) {
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(pos_out + w),
@@ -240,16 +282,73 @@ int ProbeDirectAvx2(const int32_t* table, int64_t span, int32_t base,
   }
   for (; i < m; ++i) {
     const int32_t row = sel != nullptr ? sel[i] : i;
-    const int64_t off = static_cast<int64_t>(keys[row]) - base;
-    if (static_cast<uint64_t>(off) < static_cast<uint64_t>(span) &&
-        table[off] != kDirectAbsent) {
-      sel_out[w] = row;
-      if (val_out != nullptr) val_out[w] = table[off];
-      if (pos_out != nullptr) pos_out[w] = i;
-      ++w;
+    const int64_t off = static_cast<int64_t>(keys[row]) - t.base;
+    const bool in = static_cast<uint64_t>(off) < static_cast<uint64_t>(t.span);
+    const int64_t safe = in ? off : 0;
+    int32_t value = 0;
+    bool found = false;
+    if constexpr (kBits) {
+      found = in && ((t.bits[safe >> 5] >> (safe & 31)) & 1u) != 0;
+      value = kPayload ? static_cast<int32_t>(safe) : keys[row];
+    } else {
+      value = LoadSlot<W>(t.payload, safe);
+      found = in && value != DirectSentinel(W);
+    }
+    sel_out[w] = row;
+    if (val_out != nullptr) val_out[w] = value;
+    if (pos_out != nullptr) pos_out[w] = i;
+    w += found ? 1 : 0;
+  }
+  if constexpr (kBits && kPayload) {
+    // Second pass: only the survivors' slots touch the payload array.
+    if (val_out != nullptr) {
+      int j = 0;
+      for (; j + 8 <= w; j += 8) {
+        const __m256i slot =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(val_out + j));
+        __m256i v = _mm256_i32gather_epi32(payload, slot, W);
+        if constexpr (W < 4) v = _mm256_and_si256(v, vwidth);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(val_out + j), v);
+      }
+      for (; j < w; ++j) val_out[j] = LoadSlot<W>(t.payload, val_out[j]);
     }
   }
   return w;
+}
+
+}  // namespace
+
+int ProbeDirectAvx2(const DirectTable& t, const int32_t* keys,
+                    const int32_t* sel, int m, int32_t* sel_out,
+                    int32_t* val_out, int32_t* pos_out) {
+  if (t.payload == nullptr) {
+    return ProbeDirectForm<4, true, false>(t, keys, sel, m, sel_out, val_out,
+                                           pos_out);
+  }
+  const bool two_level = t.bits != nullptr;
+  switch (t.width) {
+    case 1:
+      return two_level ? ProbeDirectForm<1, true, true>(t, keys, sel, m,
+                                                        sel_out, val_out,
+                                                        pos_out)
+                       : ProbeDirectForm<1, false, true>(t, keys, sel, m,
+                                                         sel_out, val_out,
+                                                         pos_out);
+    case 2:
+      return two_level ? ProbeDirectForm<2, true, true>(t, keys, sel, m,
+                                                        sel_out, val_out,
+                                                        pos_out)
+                       : ProbeDirectForm<2, false, true>(t, keys, sel, m,
+                                                         sel_out, val_out,
+                                                         pos_out);
+    default:
+      return two_level ? ProbeDirectForm<4, true, true>(t, keys, sel, m,
+                                                        sel_out, val_out,
+                                                        pos_out)
+                       : ProbeDirectForm<4, false, true>(t, keys, sel, m,
+                                                         sel_out, val_out,
+                                                         pos_out);
+  }
 }
 
 namespace {
@@ -605,8 +704,8 @@ int ProbeSelectAvx2(const HashTable&, const int32_t*, const int32_t*, int,
   CRYSTAL_CHECK_MSG(false, "AVX2 kernels not compiled in");
   return 0;
 }
-int ProbeDirectAvx2(const int32_t*, int64_t, int32_t, const int32_t*,
-                    const int32_t*, int, int32_t*, int32_t*, int32_t*) {
+int ProbeDirectAvx2(const DirectTable&, const int32_t*, const int32_t*, int,
+                    int32_t*, int32_t*, int32_t*) {
   CRYSTAL_CHECK_MSG(false, "AVX2 kernels not compiled in");
   return 0;
 }

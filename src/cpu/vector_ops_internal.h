@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "cpu/hash_join.h"
+#include "cpu/vector_ops.h"
 
 namespace crystal::cpu::internal {
 
@@ -42,9 +43,9 @@ int RefineRangeAvx2(const int32_t* col, const int32_t* sel, int m, int32_t lo,
 int ProbeSelectAvx2(const HashTable& ht, const int32_t* keys,
                     const int32_t* sel, int m, int32_t* sel_out,
                     int32_t* val_out, int32_t* pos_out);
-int ProbeDirectAvx2(const int32_t* table, int64_t span, int32_t base,
-                    const int32_t* keys, const int32_t* sel, int m,
-                    int32_t* sel_out, int32_t* val_out, int32_t* pos_out);
+int ProbeDirectAvx2(const DirectTable& table, const int32_t* keys,
+                    const int32_t* sel, int m, int32_t* sel_out,
+                    int32_t* val_out, int32_t* pos_out);
 
 // Packed-column kernels (bit-unpack in register: two 8-lane word gathers,
 // variable shifts, mask, add reference — see vector_ops.h for contracts).

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 
+#include "cpu/build_cache.h"
+
 namespace crystal::query {
 
 namespace {
-
-/// Mirrors cpu/build_cache.cc's direct-address eligibility cap.
-constexpr int64_t kMaxDirectSpan = int64_t{1} << 26;
 
 /// Occupancy bound for the sparse-table model: real workloads touch a few
 /// hundred to a few thousand cells, so the model claims at most this many
@@ -30,30 +29,10 @@ int64_t SparseTableBytes(int64_t cells, int64_t slots) {
   return capacity * 16 + groups * slots * 8;
 }
 
-/// Modeled JoinTable size: the same span math BuildJoinTable applies,
-/// measured over the unfiltered key column (a superset, so direct-address
-/// eligibility and span are both conservative).
-int64_t BuildSideBytes(const BoundJoin& join) {
-  const int64_t n = join.dim_rows;
-  if (n <= 0 || join.keys == nullptr) return 0;
-  const int32_t* keys = join.keys->data();
-  int32_t min_key = keys[0];
-  int32_t max_key = keys[0];
-  for (int64_t i = 1; i < n; ++i) {
-    min_key = std::min(min_key, keys[i]);
-    max_key = std::max(max_key, keys[i]);
-  }
-  const int64_t span = static_cast<int64_t>(max_key) - min_key + 1;
-  if (span <= std::max<int64_t>(4 * n, int64_t{1} << 16) &&
-      span <= kMaxDirectSpan) {
-    return span * 4;  // direct: one int32 payload slot per span value
-  }
-  return NextPow2(2 * n) * 8;  // hash: packed uint64 slots at <= 50% fill
-}
-
 }  // namespace
 
-FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads) {
+FootprintEstimate EstimateAggFootprint(const QueryPipeline& pipe,
+                                       int threads) {
   FootprintEstimate est;
   const int64_t t = std::max(threads, 1);
   const int64_t slots = pipe.agg.plan.num_slots();
@@ -81,12 +60,20 @@ FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads) {
     est.result_bytes =
         std::min<int64_t>(cells, kSparseModelGroups * 4) * (12 + slots * 8);
   }
+  return est;
+}
 
+FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads) {
+  FootprintEstimate est = EstimateAggFootprint(pipe, threads);
   est.builds.reserve(pipe.probes.size());
-  for (size_t i = 0; i < pipe.probes.size(); ++i) {
-    const ProbeStage& probe = pipe.probes[i];
+  for (const ProbeStage& probe : pipe.probes) {
+    const BoundJoin& join = pipe.bound[static_cast<size_t>(probe.join_index)];
     const int64_t bytes =
-        BuildSideBytes(pipe.bound[static_cast<size_t>(probe.join_index)]);
+        join.keys == nullptr
+            ? 0
+            : cpu::PlanJoinLayout(join.keys->data(), join.payload->data(),
+                                  join.dim_rows, probe.group_slot >= 0)
+                  .bytes();
     est.builds.push_back({probe.cache_key, bytes});
     est.build_bytes += bytes;
   }

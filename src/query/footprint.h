@@ -26,13 +26,13 @@ struct BuildFootprint {
 /// Predicted memory footprint of one lowered pipeline, derived from the
 /// same geometry the execution layer uses: GroupLayout cells x AggPlan
 /// slots plus the aggregate program's scratch for the aggregation state,
-/// and the JoinTable span math (direct span x 4 bytes, or a 50%-fill hash
-/// table) for each build side. The estimate is deliberately conservative
-/// — build-side spans are measured over the unfiltered key column and
-/// sparse-table occupancy is bounded, not sampled — because admission
-/// control treats it as a claim, and an over-claim degrades throughput
-/// while an under-claim degrades the process (docs/ROBUSTNESS.md, "Memory
-/// governance").
+/// and cpu::PlanJoinLayout — the rule cpu::BuildJoinTable builds by — for
+/// each build side, so a build side's prediction is its exact size
+/// (bitmap, narrowed payload array, two-level, or hash). The aggregation
+/// estimate is deliberately conservative — sparse-table occupancy is
+/// bounded, not sampled — because admission control treats it as a
+/// claim, and an over-claim degrades throughput while an under-claim
+/// degrades the process (docs/ROBUSTNESS.md, "Memory governance").
 struct FootprintEstimate {
   /// Aggregation bytes of each rung. Every rung also includes the
   /// aggregate program's scratch vectors (AggStage::num_vectors x
@@ -76,9 +76,16 @@ struct FootprintEstimate {
 };
 
 /// Estimates the footprint of `pipe` executed by `threads` workers.
-/// Scans each build side's key column for its span (O(dimension rows),
-/// microseconds at SF=1 — dimension tables are small by construction).
+/// Scans each build side's key column (and a payload probe's payload
+/// column) for its range: O(dimension rows), microseconds at SF=1 but
+/// about a millisecond for the four-join specs at SF=10.
 FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads);
+
+/// EstimateFootprint without the build sides (`builds` empty,
+/// `build_bytes` 0) and without their dimension scans: the aggregation and
+/// result rungs, which are all query setup claims.
+FootprintEstimate EstimateAggFootprint(const QueryPipeline& pipe,
+                                       int threads);
 
 }  // namespace crystal::query
 

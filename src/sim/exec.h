@@ -2,6 +2,7 @@
 #define CRYSTAL_SIM_EXEC_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -50,15 +51,25 @@ class ThreadBlock {
   /// Allocates n elements of T from the block's register arena (per-thread
   /// register storage modeled collectively; Section 3.3: Crystal keeps tiles
   /// in registers when indices are statically known). Register traffic is
-  /// free, matching the paper's model. Resets between blocks.
+  /// free, matching the paper's model. Resets between blocks. The arena is
+  /// a list of chunks that never move once allocated, so every pointer
+  /// handed out stays valid until the block ends; later blocks reuse them.
   template <typename T>
   T* AllocRegisters(int64_t n) {
+    static_assert(alignof(T) <= alignof(std::max_align_t));
     const size_t align = alignof(T) < 8 ? 8 : alignof(T);
-    size_t off = (regs_used_ + align - 1) / align * align;
-    const size_t need = off + static_cast<size_t>(n) * sizeof(T);
-    if (need > regs_.size()) regs_.resize(std::max(need, regs_.size() * 2));
-    regs_used_ = need;
-    return reinterpret_cast<T*>(regs_.data() + off);
+    const size_t bytes = static_cast<size_t>(n) * sizeof(T);
+    for (;; ++reg_chunk_, regs_used_ = 0) {
+      if (reg_chunk_ == reg_chunks_.size()) {
+        reg_chunks_.emplace_back(std::max(bytes, kRegChunkBytes));
+      }
+      std::vector<char>& chunk = reg_chunks_[reg_chunk_];
+      const size_t off = (regs_used_ + align - 1) / align * align;
+      if (off + bytes <= chunk.size()) {
+        regs_used_ = off + bytes;
+        return reinterpret_cast<T*>(chunk.data() + off);
+      }
+    }
   }
 
   /// Block-wide barrier. In the block-synchronous simulation this only does
@@ -95,10 +106,12 @@ class ThreadBlock {
   void BeginBlock(int64_t idx) {
     block_idx_ = idx;
     smem_used_ = 0;
+    reg_chunk_ = 0;
     regs_used_ = 0;
   }
 
   static constexpr size_t kMaxSharedBytes = 96 * 1024;
+  static constexpr size_t kRegChunkBytes = 64 * 1024;
 
   Device& device_;
   LaunchConfig config_;
@@ -107,8 +120,11 @@ class ThreadBlock {
   std::vector<char> smem_;
   size_t smem_used_ = 0;
   size_t smem_peak_ = 0;
-  std::vector<char> regs_ = std::vector<char>(64 * 1024);
-  size_t regs_used_ = 0;
+  /// Register arena. A chunk is never resized, so its buffer stays put
+  /// when reg_chunks_ itself reallocates.
+  std::vector<std::vector<char>> reg_chunks_;
+  size_t reg_chunk_ = 0;  // chunk the next allocation tries first
+  size_t regs_used_ = 0;  // bytes used in reg_chunks_[reg_chunk_]
 };
 
 /// Runs `body` once per thread block (serially; the simulator is

@@ -260,13 +260,13 @@ struct FusedQuery::Impl {
       StatusOr<std::shared_ptr<const cpu::JoinTable>> table =
           cpu::BuildCache::Process().GetOrBuild(
               generation, probe.cache_key,
-              [&join, &build_pool] {
+              [&join, &probe, &build_pool] {
                 return cpu::BuildJoinTable(
                     join.keys->data(), join.payload->data(), join.dim_rows,
                     [&join](int64_t i) {
                       return join.RowPasses(static_cast<size_t>(i));
                     },
-                    build_pool);
+                    /*reads_payload=*/probe.group_slot >= 0, build_pool);
               },
               &hit);
       if (!table.ok()) {
@@ -360,7 +360,7 @@ StatusOr<std::unique_ptr<FusedQuery>> FusedQuery::Create(
     // passed, so lowering cannot abort on input).
     query::QueryPipeline pipe = query::LowerToPipeline(spec, db);
     const query::FootprintEstimate footprint =
-        query::EstimateFootprint(pipe, threads);
+        query::EstimateAggFootprint(pipe, threads);
     MemoryBudget& budget = MemoryBudget::Process();
     const std::string generation = query::GenerationKey(db);
 
@@ -513,9 +513,10 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
       return buf;
     };
     // Probe cascade on the selection vector; each stage is a batched
-    // lookup — one bounds-masked gather per 8 keys on direct tables,
-    // vertical-vectorized hash probing otherwise — whose pos output
-    // compacts the group keys carried from earlier stages.
+    // lookup — one bounds-masked gather per 8 keys on direct tables
+    // (bitmap, narrow payload array, or bitmap then a survivor-only
+    // payload gather), vertical-vectorized hash probing otherwise — whose
+    // pos output compacts the group keys carried from earlier stages.
     int carried = 0;
     int carried_slots[3];
     for (size_t p = 0; p < pipe.probes.size(); ++p) {

@@ -27,9 +27,10 @@ namespace crystal::ssb {
 ///
 /// Build sides come from the process-wide cpu::BuildCache: dimension
 /// tables (direct-address when the key domain is compact — all SSB
-/// dimensions — hash otherwise) are built once per database generation and
-/// shared read-only across queries, repeats, and engines, so back-to-back
-/// Execute() calls pay probe+aggregate cost only.
+/// dimensions, sized by cpu::PlanJoinLayout — hash otherwise) are built
+/// once per database generation and shared read-only across queries,
+/// repeats, and engines, so back-to-back Execute() calls pay
+/// probe+aggregate cost only.
 ///
 /// Wall-clock numbers from this engine are honest local measurements;
 /// paper-scale CPU predictions come from the Skylake-profile simulation.

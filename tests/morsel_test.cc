@@ -374,12 +374,14 @@ TEST(BuildCacheTest, PayloadVariantsDoNotCollide) {
   EXPECT_EQ(info.cache_hits, 1);
 }
 
-/// Synthetic direct-address table of exactly `n * 4` bytes, for pressure
-/// tests that need precise control over entry sizes.
+/// Synthetic direct-address table of exactly `n * 4` bytes (an int32
+/// payload array), for pressure tests that need precise control over
+/// entry sizes.
 cpu::JoinTable MakeTable(int64_t n) {
   cpu::JoinTable table;
-  table.direct.assign(static_cast<size_t>(n), 0);
-  table.base = 0;
+  table.layout.form = cpu::JoinForm::kPayload;
+  table.layout.span = n;
+  table.payload.assign(static_cast<size_t>(n) * 4, 0);
   return table;
 }
 
@@ -845,45 +847,231 @@ TEST(AggProgramTest, SharedColumnsAndSubexpressionsLowerOnce) {
   EXPECT_TRUE(folded.agg.const_overflow);
 }
 
+/// Probes `a` and `b` with the same keys through every kernel path, both
+/// as a first stage (no selection vector) and on a selection vector with
+/// carried positions, and expects identical sel/val/pos.
+void ExpectSameProbes(const cpu::JoinTable& a, const cpu::JoinTable& b,
+                      const int32_t* keys, int n) {
+  std::vector<int32_t> in_sel;
+  for (int i = 0; i < n; i += 3) in_sel.push_back(i);
+  for (bool simd : {false, true}) {
+    if (simd && !cpu::SimdAvailable()) continue;
+    cpu::SetSimdEnabled(simd);
+    for (bool with_sel : {false, true}) {
+      const int m = with_sel ? static_cast<int>(in_sel.size()) : n;
+      const int32_t* sel = with_sel ? in_sel.data() : nullptr;
+      std::vector<int32_t> sel_a(n), val_a(n), pos_a(n);
+      std::vector<int32_t> sel_b(n), val_b(n), pos_b(n);
+      const int ma = cpu::ProbeJoinTable(a, keys, sel, m, sel_a.data(),
+                                         val_a.data(), pos_a.data());
+      const int mb = cpu::ProbeJoinTable(b, keys, sel, m, sel_b.data(),
+                                         val_b.data(), pos_b.data());
+      ASSERT_EQ(ma, mb) << "simd=" << simd << " sel=" << with_sel;
+      for (int i = 0; i < ma; ++i) {
+        ASSERT_EQ(sel_a[i], sel_b[i]) << i;
+        ASSERT_EQ(val_a[i], val_b[i]) << i;
+        ASSERT_EQ(pos_a[i], pos_b[i]) << i;
+      }
+    }
+  }
+}
+
 TEST(BuildJoinTableTest, DirectAndHashRepresentationsAgree) {
-  // Build both representations of one filtered build side directly and
+  // Build every representation of one filtered build side directly and
   // probe them with every kernel path; they must emit identical matches.
+  // At SF=1 part's brand payload is a 400 KB uint16 array and its
+  // filter-only side a 25 KB bitmap.
   DispatchGuard guard;
   ThreadPool pool(2);
   const Database& db = TestDb();
   const auto pred = [&](int64_t i) {
     return db.p.category[static_cast<size_t>(i)] == 12;
   };
-
-  cpu::SetDirectJoinEnabled(true);
-  const cpu::JoinTable direct = cpu::BuildJoinTable(
-      db.p.partkey.data(), db.p.brand1.data(), db.p.rows, pred, pool);
-  ASSERT_TRUE(direct.is_direct());
-
-  cpu::SetDirectJoinEnabled(false);
-  const cpu::JoinTable hash = cpu::BuildJoinTable(
-      db.p.partkey.data(), db.p.brand1.data(), db.p.rows, pred, pool);
-  ASSERT_FALSE(hash.is_direct());
-
-  const int n = 1024;
-  const int32_t* keys = db.lo.partkey.data();
-  for (bool simd : {false, true}) {
-    if (simd && !cpu::SimdAvailable()) continue;
-    cpu::SetSimdEnabled(simd);
-    int32_t sel_a[1024], val_a[1024], pos_a[1024];
-    int32_t sel_b[1024], val_b[1024], pos_b[1024];
-    const int ma =
-        cpu::ProbeJoinTable(direct, keys, nullptr, n, sel_a, val_a, pos_a);
-    const int mb =
-        cpu::ProbeJoinTable(hash, keys, nullptr, n, sel_b, val_b, pos_b);
-    ASSERT_EQ(ma, mb) << "simd=" << simd;
-    for (int i = 0; i < ma; ++i) {
-      EXPECT_EQ(sel_a[i], sel_b[i]);
-      EXPECT_EQ(val_a[i], val_b[i]);
-      EXPECT_EQ(pos_a[i], pos_b[i]);
+  for (bool reads_payload : {true, false}) {
+    const int32_t* payloads =
+        reads_payload ? db.p.brand1.data() : db.p.partkey.data();
+    cpu::SetDirectJoinEnabled(true);
+    const cpu::JoinTable direct =
+        cpu::BuildJoinTable(db.p.partkey.data(), payloads, db.p.rows, pred,
+                            reads_payload, pool);
+    ASSERT_TRUE(direct.is_direct());
+    EXPECT_EQ(direct.layout.form, reads_payload ? cpu::JoinForm::kPayload
+                                                : cpu::JoinForm::kBitmap);
+    if (reads_payload) {
+      EXPECT_EQ(direct.layout.width, 2);
     }
+    EXPECT_EQ(direct.bytes(), direct.layout.bytes());
+
+    cpu::SetDirectJoinEnabled(false);
+    const cpu::JoinTable hash =
+        cpu::BuildJoinTable(db.p.partkey.data(), payloads, db.p.rows, pred,
+                            reads_payload, pool);
+    ASSERT_FALSE(hash.is_direct());
+    EXPECT_EQ(hash.bytes(), hash.layout.bytes());
+    ExpectSameProbes(direct, hash, db.lo.partkey.data(), 1024);
   }
 }
+
+TEST(BuildJoinTableTest, Int32MinPayloadTakesTheTwoLevelForm) {
+  // A legal INT32_MIN payload leaves an int32 array no free sentinel: the
+  // build goes two-level (the bitmap decides membership) instead of
+  // aborting, and probes exactly like the hash representation.
+  DispatchGuard guard;
+  ThreadPool pool(2);
+  const int64_t n = 5000;
+  std::vector<int32_t> keys(n), payloads(n);
+  for (int64_t i = 0; i < n; ++i) {
+    keys[i] = static_cast<int32_t>(100 + i);
+    payloads[i] = i % 3 == 0   ? INT32_MIN
+                  : i % 3 == 1 ? INT32_MAX - static_cast<int32_t>(i)
+                               : -static_cast<int32_t>(i);
+  }
+  const auto pred = [](int64_t i) { return i % 5 != 0; };
+  cpu::SetDirectJoinEnabled(true);
+  const cpu::JoinTable direct = cpu::BuildJoinTable(
+      keys.data(), payloads.data(), n, pred, /*reads_payload=*/true, pool);
+  EXPECT_EQ(direct.layout.form, cpu::JoinForm::kTwoLevel);
+  EXPECT_EQ(direct.layout.width, 4);
+  cpu::SetDirectJoinEnabled(false);
+  const cpu::JoinTable hash = cpu::BuildJoinTable(
+      keys.data(), payloads.data(), n, pred, /*reads_payload=*/true, pool);
+  ASSERT_FALSE(hash.is_direct());
+
+  // Probe keys below, inside and past the domain, negative ones included.
+  std::vector<int32_t> probe;
+  for (int32_t k = -40; k < 100 + n + 40; k += 3) probe.push_back(k);
+  probe.push_back(INT32_MIN);
+  probe.push_back(INT32_MAX);
+  ExpectSameProbes(direct, hash, probe.data(),
+                   static_cast<int>(probe.size()));
+}
+
+TEST(BuildJoinTableTest, LayoutPicksTheNarrowestSentinelFreeWidth) {
+  DispatchGuard guard;
+  cpu::SetDirectJoinEnabled(true);
+  const int64_t n = 1000;
+  std::vector<int32_t> keys(n), payloads(n, 0);
+  for (int64_t i = 0; i < n; ++i) keys[i] = static_cast<int32_t>(i + 1);
+  const auto plan = [&](int32_t lo, int32_t hi) {
+    payloads[0] = lo;
+    payloads[1] = hi;
+    return cpu::PlanJoinLayout(keys.data(), payloads.data(), n, true);
+  };
+  EXPECT_EQ(plan(0, 254).width, 1);
+  EXPECT_EQ(plan(0, 255).width, 2);  // 0xFF is the uint8 sentinel
+  EXPECT_EQ(plan(0, 65534).width, 2);
+  EXPECT_EQ(plan(0, 65535).width, 4);
+  EXPECT_EQ(plan(-1, 3).width, 4);
+  EXPECT_EQ(plan(0, 3).form, cpu::JoinForm::kPayload);
+  EXPECT_EQ(plan(INT32_MIN, 3).form, cpu::JoinForm::kTwoLevel);
+  const cpu::JoinLayout bitmap =
+      cpu::PlanJoinLayout(keys.data(), payloads.data(), n, false);
+  EXPECT_EQ(bitmap.form, cpu::JoinForm::kBitmap);
+  EXPECT_EQ(bitmap.bytes(), (n + 31) / 32 * 4);
+
+  // An array past kMaxSingleLevelBytes puts a bitmap in front; one at the
+  // threshold stays a single array.
+  const int64_t big = cpu::kMaxSingleLevelBytes / 2 + 1;
+  std::vector<int32_t> big_keys(big), big_payloads(big, 300);
+  for (int64_t i = 0; i < big; ++i) big_keys[i] = static_cast<int32_t>(i);
+  const cpu::JoinLayout two =
+      cpu::PlanJoinLayout(big_keys.data(), big_payloads.data(), big, true);
+  EXPECT_EQ(two.form, cpu::JoinForm::kTwoLevel);
+  EXPECT_EQ(two.width, 2);
+  const cpu::JoinLayout one = cpu::PlanJoinLayout(
+      big_keys.data(), big_payloads.data(), big - 1, true);
+  EXPECT_EQ(one.form, cpu::JoinForm::kPayload);
+  EXPECT_EQ(one.bytes(), (big - 1) * 2 + 2);
+}
+
+// ------------------------------------------------ SF=10 dimension tables
+
+/// SF=10 dimensions (part's brand array is 1.6 MB, past
+/// cpu::kMaxSingleLevelBytes) over a 60K-row fact sample, in one encoding.
+const Database& Sf10Db(storage::Encoding encoding) {
+  static const Database* plain = nullptr;
+  static const Database* packed = nullptr;
+  const Database*& db =
+      encoding == storage::Encoding::kPlain ? plain : packed;
+  if (db == nullptr) {
+    DatagenOptions options;
+    options.scale_factor = 10;
+    options.fact_divisor = 1000;
+    options.storage.encoding = encoding;
+    db = new Database(Generate(options));
+  }
+  return *db;
+}
+
+TEST(Sf10DimensionsTest, FootprintPredictsEveryBuiltTableExactly) {
+  // For every canonical spec and the TPC-H analogs, the footprint model's
+  // build bytes are the bytes of the tables the engine actually builds —
+  // the two-level part brand side included.
+  DispatchGuard guard;
+  cpu::SetDirectJoinEnabled(true);
+  const Database& db = Sf10Db(storage::Encoding::kPlain);
+  ThreadPool pool(2);
+  std::vector<query::QuerySpec> specs;
+  for (QueryId id : kAllQueries) specs.push_back(query::SsbSpec(id));
+  specs.push_back(query::TpchQ1Analog());
+  specs.push_back(query::TpchQ6Analog());
+  // q2.x and q4.3 group by p_brand1: their part side is two-level.
+  ASSERT_EQ(cpu::PlanJoinLayout(db.p.partkey.data(), db.p.brand1.data(),
+                                db.p.rows, /*reads_payload=*/true)
+                .form,
+            cpu::JoinForm::kTwoLevel);
+  for (const query::QuerySpec& spec : specs) {
+    cpu::BuildCache::Process().Clear();
+    const query::FootprintEstimate est =
+        query::EstimateFootprint(query::LowerToPipeline(spec, db), 2);
+    StatusOr<std::unique_ptr<FusedQuery>> fused =
+        FusedQuery::Create(spec, db, 2, pool);
+    ASSERT_TRUE(fused.ok()) << spec.name;
+    EXPECT_EQ(est.build_bytes, cpu::BuildCache::Process().bytes())
+        << spec.name;
+  }
+}
+
+struct Sf10Param {
+  storage::Encoding encoding;
+  bool simd;
+};
+
+class Sf10ParityTest : public testing::TestWithParam<Sf10Param> {};
+
+TEST_P(Sf10ParityTest, JoinFlightsMatchReference) {
+  // The driver matrix `crystaldb --engines=vectorized-cpu --sf=10
+  // --fact-divisor=1000 --queries=q2,q3,q4`, plain and packed, SIMD on and
+  // off: every join flight over SF=10 build sides (bitmaps, uint8/uint16
+  // arrays, the two-level part side) answers like the reference.
+  const Sf10Param p = GetParam();
+  if (p.simd && !cpu::SimdAvailable()) GTEST_SKIP() << "no AVX2 host";
+  DispatchGuard guard;
+  cpu::SetSimdEnabled(p.simd);
+  cpu::SetDirectJoinEnabled(true);
+  cpu::BuildCache::Process().Clear();
+  const Database& db = Sf10Db(p.encoding);
+  ThreadPool pool(2);
+  VectorizedCpuEngine engine(db, pool);
+  for (QueryId id : kAllQueries) {
+    if (QueryFlight(id) == 1) continue;
+    const QueryResult want = RunReference(db, id);
+    const QueryResult got = engine.Run(id);
+    EXPECT_TRUE(got == want) << QueryName(id) << ": got " << got.ToString()
+                             << " want " << want.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, Sf10ParityTest,
+    testing::Values(Sf10Param{storage::Encoding::kPlain, true},
+                    Sf10Param{storage::Encoding::kPlain, false},
+                    Sf10Param{storage::Encoding::kPacked, true},
+                    Sf10Param{storage::Encoding::kPacked, false}),
+    [](const testing::TestParamInfo<Sf10Param>& info) {
+      return std::string(storage::EncodingName(info.param.encoding)) +
+             (info.param.simd ? "_simd" : "_scalar");
+    });
 
 }  // namespace
 }  // namespace crystal::ssb

@@ -91,6 +91,28 @@ TEST(ExecTest, SharedMemoryResetsBetweenBlocks) {
   SUCCEED();
 }
 
+TEST(ExecTest, RegisterTilesStayValidPastTheFirstArenaChunk) {
+  // 1024 threads x 4 items x 4 bytes = 16 KB per int tile: the fifth and
+  // later tiles of a block lie past the arena's first 64 KB. Earlier
+  // tiles must keep their storage (and their values) while later ones
+  // are allocated, in every block.
+  Device dev(DeviceProfile::V100());
+  const LaunchConfig cfg{1024, 4};
+  LaunchBlocks(dev, "regs", cfg, 3, [&](ThreadBlock& tb) {
+    const int64_t n = int64_t{cfg.block_threads} * cfg.items_per_thread;
+    int* first = tb.AllocRegisters<int>(n);
+    first[0] = 7;
+    first[n - 1] = 11;
+    std::vector<int64_t*> later;
+    for (int i = 0; i < 8; ++i) later.push_back(tb.AllocRegisters<int64_t>(n));
+    for (int64_t* tile : later) tile[n - 1] = -1;
+    first[n - 1] += 1;
+    EXPECT_EQ(first[0], 7);
+    EXPECT_EQ(first[n - 1], 12);
+    EXPECT_NE(static_cast<void*>(first), static_cast<void*>(later[0]));
+  });
+}
+
 TEST(ExecTest, AtomicAddReturnsOldValueAndCounts) {
   Device dev(DeviceProfile::V100());
   int64_t counter = 0;
