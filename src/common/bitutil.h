@@ -30,9 +30,17 @@ constexpr int Log2(uint64_t v) {
 /// Ceil(a / b) for positive integers.
 constexpr int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
+/// Readable words every bit-packed buffer carries past its payload
+/// (storage::PackedWords). The scalar decode's 64-bit window reads one
+/// word past a field's low word; the AVX2 dense decode loads a 16-byte
+/// window (plus one byte for fields of 27 bits or more) at up to half a
+/// group's bytes into its last full 8-row group, which reaches at most 16
+/// bytes past the payload (cpu/vector_ops_avx2.cc, DenseDecoder).
+inline constexpr int kPackedSlackWords = 4;
+
 /// Frame-of-reference decode of row i of a bit-packed column: the
 /// `bits`-wide code at bit i*bits plus `reference`, read through the
-/// window words[w], words[w+1] (every packed buffer has a tail slack word).
+/// window words[w], words[w+1] (kPackedSlackWords keeps it in bounds).
 /// The add wraps in uint32_t: at bits == 32 a signed add could overflow.
 inline int32_t DecodePacked(const uint32_t* words, int bits, int32_t reference,
                             int64_t i) {

@@ -33,17 +33,6 @@ std::atomic<bool>& DirectFlag() {
   return enabled;
 }
 
-/// (min, max) of v[0..n), n > 0.
-std::pair<int32_t, int32_t> Range(const int32_t* v, int64_t n) {
-  int32_t lo = v[0];
-  int32_t hi = v[0];
-  for (int64_t i = 1; i < n; ++i) {
-    lo = std::min(lo, v[i]);
-    hi = std::max(hi, v[i]);
-  }
-  return {lo, hi};
-}
-
 /// Stores the low `width` bytes of v (little-endian) at slot `off`.
 void StoreSlot(uint8_t* payload, int width, int64_t off, int32_t v) {
   switch (width) {
@@ -69,25 +58,26 @@ void SetDirectJoinEnabled(bool enabled) {
   DirectFlag().store(enabled, std::memory_order_relaxed);
 }
 
-JoinLayout PlanJoinLayout(const int32_t* keys, const int32_t* payloads,
-                          int64_t n, bool reads_payload) {
+JoinLayout PlanJoinLayout(const JoinDomain& domain, bool reads_payload) {
+  const int64_t n = domain.rows;
   JoinLayout layout;
   layout.hash_slots = HashTable::SlotsFor(std::max<int64_t>(n, 1), 1.0);
   if (n <= 0 || !DirectJoinEnabled()) return layout;
-  const auto [min_key, max_key] = Range(keys, n);
-  const int64_t span = static_cast<int64_t>(max_key) - min_key + 1;
+  const int64_t span =
+      static_cast<int64_t>(domain.keys.max) - domain.keys.min + 1;
   if (span > std::max<int64_t>(4 * n, int64_t{1} << 16) ||
       span > kMaxDirectSpan) {
     return layout;
   }
   layout.hash_slots = 0;
-  layout.base = min_key;
+  layout.base = domain.keys.min;
   layout.span = span;
   if (!reads_payload) {
     layout.form = JoinForm::kBitmap;
     return layout;
   }
-  const auto [min_pay, max_pay] = Range(payloads, n);
+  const int32_t min_pay = domain.payloads.min;
+  const int32_t max_pay = domain.payloads.max;
   layout.width = min_pay < 0                    ? 4
                  : max_pay < DirectSentinel(1) ? 1
                  : max_pay < DirectSentinel(2) ? 2
@@ -97,6 +87,12 @@ JoinLayout PlanJoinLayout(const int32_t* keys, const int32_t* payloads,
                     ? JoinForm::kPayload
                     : JoinForm::kTwoLevel;
   return layout;
+}
+
+JoinLayout PlanJoinLayout(const int32_t* keys, const int32_t* payloads,
+                          int64_t n, bool reads_payload) {
+  return PlanJoinLayout({n, ScanRange(keys, n), ScanRange(payloads, n)},
+                        reads_payload);
 }
 
 JoinTable BuildJoinTable(const int32_t* keys, const int32_t* payloads,

@@ -14,6 +14,7 @@
 #include "common/aligned.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "common/value_range.h"
 #include "cpu/hash_join.h"
 #include "cpu/vector_ops.h"
 
@@ -60,10 +61,19 @@ struct JoinLayout {
   }
 };
 
+/// Everything PlanJoinLayout reads of a build side's columns: the row
+/// count and the key and payload value ranges over *all* rows (not only
+/// those passing a build filter, so a table's geometry is identical
+/// across filters). A planner that already knows the ranges (the
+/// footprint model, from ssb::Database::dim_ranges) skips the scan.
+struct JoinDomain {
+  int64_t rows = 0;
+  ValueRange keys;
+  ValueRange payloads;
+};
+
 /// Chooses the representation of the build side over keys[i] -> payloads[i]
-/// for i in [0, n), from the key and payload ranges over *all* n rows (not
-/// only those passing a build filter, so a table's geometry is identical
-/// across filters):
+/// for i in [0, n), from its JoinDomain:
 ///  * hash when direct tables are disabled (DirectJoinEnabled()) or the key
 ///    domain is not compact: span > max(4n, 2^16), or > 2^26 entries
 ///    (256 MB would never be cache-resident);
@@ -75,6 +85,10 @@ struct JoinLayout {
 ///  * two-level instead when that array exceeds kMaxSingleLevelBytes, or when
 ///    an int32 payload is INT32_MIN itself (the bitmap needs no
 ///    sentinel).
+JoinLayout PlanJoinLayout(const JoinDomain& domain, bool reads_payload);
+
+/// PlanJoinLayout over the domain of keys[i] -> payloads[i], i in [0, n):
+/// one pass over each column.
 JoinLayout PlanJoinLayout(const int32_t* keys, const int32_t* payloads,
                           int64_t n, bool reads_payload);
 

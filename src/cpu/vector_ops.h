@@ -121,12 +121,36 @@ void CompactInPlace(int32_t* v, const int32_t* pos, int m);
 //  * `start` is the absolute row of the vector's first element; `sel`
 //    entries and `n`/`m` are vector-relative, exactly like the plain
 //    primitives above operating on `col + start`.
-//  * `words` must carry one tail slack word past the payload (see
-//    storage::PackedWords): the unpack window unconditionally reads the
-//    word after the one holding an element's low bits.
+//  * `words` must carry kPackedSlackWords tail slack words past the
+//    payload (see storage::PackedWords): the scalar window and the AVX2
+//    gathers read the word after the one holding an element's low bits,
+//    and the AVX2 dense decode reads whole 16-byte windows.
+//  * The AVX2 filters compare raw codes, never adding the reference:
+//    [lo, hi] is rebased once per call to the unsigned test
+//    code - (lo - reference) <= hi - lo, which agrees with the decoded
+//    value test for every stored code.
 //  * Vector-relative offsets must stay small: the AVX2 paths compute
 //    per-lane bit offsets in 32 bits, so (n or max sel entry) * bits must
 //    fit in an int32 — true by construction for vector-at-a-time callers.
+//
+// The AVX2 paths decode rows that are read densely (a whole vector, or
+// every row up to the last survivor of a dense selection) without
+// gathers: eight consecutive `bits`-wide fields span exactly `bits`
+// bytes, so every 8-row group sits at the same bit phase and one fixed
+// byte shuffle plus per-lane shifts unpacks it from contiguous loads
+// (SIMD-Scan, Willhalm et al., VLDB 2009). Only sparse survivors gather.
+
+/// Survivors are dense, and a packed column is cheaper to decode over
+/// every row up to the last survivor than survivor by survivor, when at
+/// least one row in kDenseSurvivorStride survives:
+/// m * kDenseSurvivorStride >= sel[m - 1] + 1.
+inline constexpr int kDenseSurvivorStride = 4;
+
+/// The density rule above over a selection vector sel[0..m).
+inline bool SurvivorsDense(const int32_t* sel, int m) {
+  return m > 0 &&
+         int64_t{m} * kDenseSurvivorStride >= int64_t{sel[m - 1]} + 1;
+}
 
 /// Decodes one value; the scalar building block (shared with tests).
 inline int32_t PackedGet(const uint32_t* words, int bits, int32_t reference,
@@ -153,6 +177,9 @@ int SelectRangePacked(const uint32_t* words, int bits, int32_t reference,
                       int32_t* sel);
 
 /// RefineRange fused with unpack; in-place (sel_out == sel) supported.
+/// On the AVX2 path, dense survivors (SurvivorsDense) decode rows
+/// [0, sel[m - 1] + 1) into a stack slice first (when that prefix fits a
+/// 1024-row vector); sparse ones gather their own fields.
 int RefineRangePacked(const uint32_t* words, int bits, int32_t reference,
                       int64_t start, const int32_t* sel, int m, int32_t lo,
                       int32_t hi, int32_t* sel_out);

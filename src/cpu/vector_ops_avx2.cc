@@ -5,6 +5,7 @@
 // the runtime-dispatched entry points in vector_ops.cc.
 #include "cpu/vector_ops_internal.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -68,6 +69,68 @@ inline __m256i Iota() { return _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7); }
 
 bool HaveAvx2Kernels() { return true; }
 
+namespace {
+
+/// All-ones in the lanes where code - base <= span (unsigned, mod 2^32):
+/// the packed filters' code-domain range test (see CodeBounds).
+inline __m256i InCodeRange(__m256i code, __m256i base, __m256i span) {
+  const __m256i d = _mm256_sub_epi32(code, base);
+  return _mm256_cmpeq_epi32(_mm256_min_epu32(d, span), d);
+}
+
+/// The scalar form of InCodeRange.
+inline bool InCodeRange(uint32_t code, uint32_t base, uint32_t span) {
+  return code - base <= span;
+}
+
+/// Selective store: writes the lanes of `idx` whose bit is set in `mask`
+/// to out[0..popcount) (scratch lanes follow) and returns the count.
+inline int Compact8(const PermTable& pt, __m256i idx, int mask,
+                    int32_t* out) {
+  const __m256i perm =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(pt.idx[mask]));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      _mm256_permutevar8x32_epi32(idx, perm));
+  return __builtin_popcount(static_cast<unsigned>(mask));
+}
+
+/// RefineRange over a plain slice: signed values in [lo, hi], or (kCodes)
+/// the raw codes a packed kernel decoded, tested with InCodeRange against
+/// base = lo and span = hi.
+template <bool kCodes>
+int RefineSlots(const int32_t* col, const int32_t* sel, int m, int32_t lo,
+                int32_t hi, int32_t* sel_out) {
+  const PermTable& pt = GetPermTable();
+  const __m256i vlo = _mm256_set1_epi32(lo);
+  const __m256i vhi = _mm256_set1_epi32(hi);
+  int w = 0;
+  int i = 0;
+  for (; i + 8 <= m; i += 8) {
+    const __m256i idx =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sel + i));
+    const __m256i x = _mm256_i32gather_epi32(col, idx, 4);
+    const __m256i in = kCodes ? InCodeRange(x, vlo, vhi)
+                              : InRange(x, vlo, vhi);
+    w += Compact8(pt, idx, _mm256_movemask_ps(_mm256_castsi256_ps(in)),
+                  sel_out + w);
+  }
+  for (; i < m; ++i) {
+    const int32_t v = col[sel[i]];
+    sel_out[w] = sel[i];
+    if constexpr (kCodes) {
+      w += InCodeRange(static_cast<uint32_t>(v), static_cast<uint32_t>(lo),
+                       static_cast<uint32_t>(hi))
+               ? 1
+               : 0;
+    } else {
+      w += (v >= lo && v <= hi) ? 1 : 0;
+    }
+  }
+  return w;
+}
+
+}  // namespace
+
 int SelectRangeAvx2(const int32_t* col, int n, int32_t lo, int32_t hi,
                     int32_t* sel) {
   const PermTable& pt = GetPermTable();
@@ -80,12 +143,8 @@ int SelectRangeAvx2(const int32_t* col, int n, int32_t lo, int32_t hi,
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + i));
     const int mask =
         _mm256_movemask_ps(_mm256_castsi256_ps(InRange(x, vlo, vhi)));
-    const __m256i perm =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(pt.idx[mask]));
-    const __m256i idx = _mm256_add_epi32(Iota(), _mm256_set1_epi32(i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sel + w),
-                        _mm256_permutevar8x32_epi32(idx, perm));
-    w += __builtin_popcount(static_cast<unsigned>(mask));
+    w += Compact8(pt, _mm256_add_epi32(Iota(), _mm256_set1_epi32(i)), mask,
+                  sel + w);
   }
   for (; i < n; ++i) {
     sel[w] = i;
@@ -96,29 +155,7 @@ int SelectRangeAvx2(const int32_t* col, int n, int32_t lo, int32_t hi,
 
 int RefineRangeAvx2(const int32_t* col, const int32_t* sel, int m, int32_t lo,
                     int32_t hi, int32_t* sel_out) {
-  const PermTable& pt = GetPermTable();
-  const __m256i vlo = _mm256_set1_epi32(lo);
-  const __m256i vhi = _mm256_set1_epi32(hi);
-  int w = 0;
-  int i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sel + i));
-    const __m256i x = _mm256_i32gather_epi32(col, idx, 4);
-    const int mask =
-        _mm256_movemask_ps(_mm256_castsi256_ps(InRange(x, vlo, vhi)));
-    const __m256i perm =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(pt.idx[mask]));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sel_out + w),
-                        _mm256_permutevar8x32_epi32(idx, perm));
-    w += __builtin_popcount(static_cast<unsigned>(mask));
-  }
-  for (; i < m; ++i) {
-    const int32_t v = col[sel[i]];
-    sel_out[w] = sel[i];
-    w += (v >= lo && v <= hi) ? 1 : 0;
-  }
-  return w;
+  return RefineSlots<false>(col, sel, m, lo, hi, sel_out);
 }
 
 int ProbeSelectAvx2(const HashTable& ht, const int32_t* keys,
@@ -359,14 +396,147 @@ inline __m256i PackedFieldMask(int bits) {
       bits >= 32 ? -1 : static_cast<int32_t>((1u << bits) - 1u));
 }
 
-/// Decodes 8 packed lanes whose bit offsets relative to `base` (the word
-/// holding the vector's first bit) are in `lane_bit`: gather the word pair
-/// around each field, funnel-shift, mask, add the reference. srlv/sllv
-/// yield 0 for shift counts >= 32, so the sh == 0 straddle term vanishes
-/// without a branch; the +1 tail slack word keeps the second gather in
-/// bounds on the last field.
-inline __m256i Unpack8(const uint32_t* base, __m256i lane_bit, __m256i vmask,
-                       __m256i vref) {
+/// Gather-free decode of the rows of a packed run that are read densely
+/// (SIMD-Scan, Willhalm et al., VLDB 2009). Eight consecutive `bits`-wide
+/// fields span exactly `bits` bytes, so every 8-row group of a run that
+/// starts at row `start` begins at byte (start*bits >> 3) + k*bits with the
+/// same bit phase. Each 128-bit half's four fields then sit at fixed byte
+/// offsets and shifts inside a 16-byte window loaded at a fixed offset
+/// from the group: one vpshufb moves each field's four bytes into its
+/// lane, one vpsrlvd aligns it and a mask trims it. The shuffle and shift
+/// vectors depend only on (bits, phase) and are built once per run.
+/// A field of 27 to 31 bits can straddle five bytes (kFifthByte): a
+/// second shuffle over the window one byte further on supplies the fifth,
+/// shifted into place with vpsllvd. (Fields of even width start at even
+/// bit phases, so a 26-bit field ends by bit 6 + 26 = 32 of its four
+/// bytes.) 32-bit fields are a plain load.
+///
+/// The highest byte read for a full group is at most 16 bytes past the
+/// group's last payload byte, which kPackedSlackWords covers.
+enum class DenseForm { kShuffle, kFifthByte, kWord };
+
+template <DenseForm kForm>
+class DenseDecoder {
+ public:
+  DenseDecoder(const uint32_t* words, int bits, int64_t start) : bits_(bits) {
+    if constexpr (kForm == DenseForm::kWord) {
+      bytes_ = reinterpret_cast<const uint8_t*>(words + start);
+    } else {
+      Build(words, bits, start);
+    }
+  }
+
+  /// Raw codes of rows start + i .. start + i + 7 (i a multiple of 8).
+  __m256i Codes(int i) const {
+    if constexpr (kForm == DenseForm::kWord) {
+      return _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(bytes_ + 4 * int64_t{i}));
+    } else {
+      const uint8_t* g = bytes_ + int64_t{i / 8} * bits_;
+      __m256i x = _mm256_srlv_epi32(
+          _mm256_shuffle_epi8(Window(g), shuffle_), shift_);
+      if constexpr (kForm == DenseForm::kFifthByte) {
+        x = _mm256_or_si256(
+            x, _mm256_sllv_epi32(_mm256_shuffle_epi8(Window(g + 1), fifth_),
+                                 fifth_shift_));
+      }
+      return _mm256_and_si256(x, mask_);
+    }
+  }
+
+ private:
+  /// Builds the (bits, phase) shuffle and shift vectors.
+  void Build(const uint32_t* words, int bits, int64_t start) {
+    const int64_t bit = start * static_cast<int64_t>(bits);
+    bytes_ = reinterpret_cast<const uint8_t*>(words) + (bit >> 3);
+    const int phase = static_cast<int>(bit & 7);
+    high_ = (phase + 4 * bits) >> 3;
+    alignas(32) uint8_t shuffle[32];
+    alignas(32) uint8_t fifth[32];
+    alignas(32) int32_t shift[8];
+    alignas(32) int32_t fifth_shift[8];
+    for (int lane = 0; lane < 8; ++lane) {
+      const int lane_bit = phase + lane * bits;
+      // Byte of the field's low bit within its half's window.
+      const int at = (lane_bit >> 3) - (lane < 4 ? 0 : high_);
+      uint8_t* s = shuffle + 4 * lane;
+      uint8_t* f = fifth + 4 * lane;
+      for (int b = 0; b < 4; ++b) {
+        s[b] = static_cast<uint8_t>(at + b);
+        f[b] = 0x80;  // vpshufb zeroes a byte whose index has bit 7 set
+      }
+      // The fifth byte, at + 4, is byte at + 3 of the window loaded one
+      // byte further on (at <= 12, so it stays inside the window).
+      f[0] = static_cast<uint8_t>(at + 3);
+      shift[lane] = lane_bit & 7;
+      fifth_shift[lane] = 32 - (lane_bit & 7);  // 32 shifts to zero
+    }
+    shuffle_ = _mm256_load_si256(reinterpret_cast<const __m256i*>(shuffle));
+    shift_ = _mm256_load_si256(reinterpret_cast<const __m256i*>(shift));
+    fifth_ = _mm256_load_si256(reinterpret_cast<const __m256i*>(fifth));
+    fifth_shift_ =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(fifth_shift));
+    mask_ = PackedFieldMask(bits);
+  }
+
+  /// Bytes g[0..16) in the low half and g[high_..high_ + 16) in the high.
+  __m256i Window(const uint8_t* g) const {
+    return _mm256_inserti128_si256(
+        _mm256_castsi128_si256(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(g))),
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(g + high_)), 1);
+  }
+
+  const uint8_t* bytes_ = nullptr;
+  int bits_ = 0;
+  int high_ = 0;
+  __m256i shuffle_, shift_, fifth_, fifth_shift_, mask_;
+};
+
+/// Calls f(decoder) with the dense decoder form for `bits`.
+template <class F>
+auto WithDenseDecoder(const uint32_t* words, int bits, int64_t start, F&& f) {
+  if (bits <= 26) {
+    return f(DenseDecoder<DenseForm::kShuffle>(words, bits, start));
+  }
+  if (bits < 32) {
+    return f(DenseDecoder<DenseForm::kFifthByte>(words, bits, start));
+  }
+  return f(DenseDecoder<DenseForm::kWord>(words, bits, start));
+}
+
+/// Raw code of row i (the scalar tail of the code-domain kernels).
+inline uint32_t PackedCode(const uint32_t* words, int bits, int64_t i) {
+  return static_cast<uint32_t>(DecodePacked(words, bits, 0, i));
+}
+
+/// A value range [lo, hi] rebased once per call into the code domain of a
+/// column with `reference`. A row decodes to reference + code (mod 2^32,
+/// as DecodePacked adds), which lies in [lo, hi] exactly when
+/// code - (lo - reference) <= hi - lo in uint32 arithmetic — one unsigned
+/// compare on the raw code, no add, and bit-identical to the value test
+/// for every stored code. Returns false when no `bits`-wide code can
+/// match: an empty range, or bounds wholly below the reference or above
+/// reference + 2^bits - 1.
+inline bool CodeBounds(int bits, int32_t reference, int32_t lo, int32_t hi,
+                       uint32_t* base, uint32_t* span) {
+  if (lo > hi) return false;
+  *base = static_cast<uint32_t>(lo) - static_cast<uint32_t>(reference);
+  *span = static_cast<uint32_t>(hi) - static_cast<uint32_t>(lo);
+  // Matching codes form the interval [base, base + span] mod 2^32; it
+  // meets [0, 2^bits) unless it starts past the top code without wrapping.
+  const int64_t max_code = bits >= 32 ? 0xffffffffll : (1ll << bits) - 1;
+  return *base <= max_code || int64_t{*base} + *span > 0xffffffffll;
+}
+
+/// Raw codes of 8 packed lanes whose bit offsets relative to `base` (the
+/// word holding the vector's first bit) are in `lane_bit`: gather the word
+/// pair around each field, funnel-shift, mask. The sparse-survivor path:
+/// srlv/sllv yield 0 for shift counts >= 32, so the sh == 0 straddle term
+/// vanishes without a branch, and the tail slack keeps the second gather
+/// in bounds on the last field.
+inline __m256i Unpack8(const uint32_t* base, __m256i lane_bit,
+                       __m256i vmask) {
   const __m256i w_idx = _mm256_srli_epi32(lane_bit, 5);
   const __m256i sh = _mm256_and_si256(lane_bit, _mm256_set1_epi32(31));
   const int* p = reinterpret_cast<const int*>(base);
@@ -376,29 +546,26 @@ inline __m256i Unpack8(const uint32_t* base, __m256i lane_bit, __m256i vmask,
   const __m256i low = _mm256_srlv_epi32(w0, sh);
   const __m256i high =
       _mm256_sllv_epi32(w1, _mm256_sub_epi32(_mm256_set1_epi32(32), sh));
-  const __m256i raw = _mm256_and_si256(_mm256_or_si256(low, high), vmask);
-  return _mm256_add_epi32(raw, vref);
+  return _mm256_and_si256(_mm256_or_si256(low, high), vmask);
 }
+
+/// Rows a dense-survivor refine decodes onto the stack at most: one
+/// engine vector.
+constexpr int kDenseSliceRows = 1024;
 
 }  // namespace
 
 void UnpackRangeAvx2(const uint32_t* words, int bits, int32_t reference,
                      int64_t start, int n, int32_t* out) {
-  const int64_t base_bit = start * static_cast<int64_t>(bits);
-  const uint32_t* base = words + (base_bit >> 5);
-  const int rem = static_cast<int>(base_bit & 31);
-  const __m256i vmask = PackedFieldMask(bits);
   const __m256i vref = _mm256_set1_epi32(reference);
-  __m256i lane_bit = _mm256_add_epi32(
-      _mm256_set1_epi32(rem),
-      _mm256_mullo_epi32(Iota(), _mm256_set1_epi32(bits)));
-  const __m256i step = _mm256_set1_epi32(8 * bits);
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        Unpack8(base, lane_bit, vmask, vref));
-    lane_bit = _mm256_add_epi32(lane_bit, step);
-  }
+  int i = WithDenseDecoder(words, bits, start, [&](const auto& dec) {
+    int j = 0;
+    for (; j + 8 <= n; j += 8) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + j),
+                          _mm256_add_epi32(dec.Codes(j), vref));
+    }
+    return j;
+  });
   for (; i < n; ++i) out[i] = PackedGet(words, bits, reference, start + i);
 }
 
@@ -417,8 +584,9 @@ void UnpackAtAvx2(const uint32_t* words, int bits, int32_t reference,
     const __m256i lane_bit = _mm256_add_epi32(
         _mm256_set1_epi32(rem), _mm256_mullo_epi32(idx, vbits));
     alignas(32) int32_t tmp[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp),
-                       Unpack8(base, lane_bit, vmask, vref));
+    _mm256_store_si256(
+        reinterpret_cast<__m256i*>(tmp),
+        _mm256_add_epi32(Unpack8(base, lane_bit, vmask), vref));
     // No AVX2 scatter; 8 scalar stores to the selected slots.
     for (int j = 0; j < 8; ++j) out[sel[i + j]] = tmp[j];
   }
@@ -430,36 +598,28 @@ void UnpackAtAvx2(const uint32_t* words, int bits, int32_t reference,
 int SelectRangePackedAvx2(const uint32_t* words, int bits, int32_t reference,
                           int64_t start, int n, int32_t lo, int32_t hi,
                           int32_t* sel) {
+  uint32_t code_base = 0;
+  uint32_t code_span = 0;
+  if (!CodeBounds(bits, reference, lo, hi, &code_base, &code_span)) return 0;
   const PermTable& pt = GetPermTable();
-  const int64_t base_bit = start * static_cast<int64_t>(bits);
-  const uint32_t* base = words + (base_bit >> 5);
-  const int rem = static_cast<int>(base_bit & 31);
-  const __m256i vmask = PackedFieldMask(bits);
-  const __m256i vref = _mm256_set1_epi32(reference);
-  const __m256i vlo = _mm256_set1_epi32(lo);
-  const __m256i vhi = _mm256_set1_epi32(hi);
-  __m256i lane_bit = _mm256_add_epi32(
-      _mm256_set1_epi32(rem),
-      _mm256_mullo_epi32(Iota(), _mm256_set1_epi32(bits)));
-  const __m256i step = _mm256_set1_epi32(8 * bits);
+  const __m256i vbase = _mm256_set1_epi32(static_cast<int32_t>(code_base));
+  const __m256i vspan = _mm256_set1_epi32(static_cast<int32_t>(code_span));
   int w = 0;
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i x = Unpack8(base, lane_bit, vmask, vref);
-    lane_bit = _mm256_add_epi32(lane_bit, step);
-    const int mask =
-        _mm256_movemask_ps(_mm256_castsi256_ps(InRange(x, vlo, vhi)));
-    const __m256i perm =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(pt.idx[mask]));
-    const __m256i idx = _mm256_add_epi32(Iota(), _mm256_set1_epi32(i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sel + w),
-                        _mm256_permutevar8x32_epi32(idx, perm));
-    w += __builtin_popcount(static_cast<unsigned>(mask));
-  }
+  int i = WithDenseDecoder(words, bits, start, [&](const auto& dec) {
+    int j = 0;
+    for (; j + 8 <= n; j += 8) {
+      const int mask = _mm256_movemask_ps(
+          _mm256_castsi256_ps(InCodeRange(dec.Codes(j), vbase, vspan)));
+      w += Compact8(pt, _mm256_add_epi32(Iota(), _mm256_set1_epi32(j)), mask,
+                    sel + w);
+    }
+    return j;
+  });
   for (; i < n; ++i) {
-    const int32_t v = PackedGet(words, bits, reference, start + i);
     sel[w] = i;
-    w += (v >= lo && v <= hi) ? 1 : 0;
+    w += InCodeRange(PackedCode(words, bits, start + i), code_base, code_span)
+             ? 1
+             : 0;
   }
   return w;
 }
@@ -467,15 +627,39 @@ int SelectRangePackedAvx2(const uint32_t* words, int bits, int32_t reference,
 int RefineRangePackedAvx2(const uint32_t* words, int bits, int32_t reference,
                           int64_t start, const int32_t* sel, int m,
                           int32_t lo, int32_t hi, int32_t* sel_out) {
+  uint32_t code_base = 0;
+  uint32_t code_span = 0;
+  if (m == 0 || !CodeBounds(bits, reference, lo, hi, &code_base, &code_span)) {
+    return 0;
+  }
+  const int rows = sel[m - 1] + 1;
+  if (rows <= kDenseSliceRows && SurvivorsDense(sel, m)) {
+    // Dense survivors: decode every row up to the last one without a
+    // gather, then refine over the decoded codes.
+    alignas(32) int32_t codes[kDenseSliceRows];
+    int i = WithDenseDecoder(words, bits, start, [&](const auto& dec) {
+      int j = 0;
+      for (; j + 8 <= rows; j += 8) {
+        _mm256_store_si256(reinterpret_cast<__m256i*>(codes + j),
+                           dec.Codes(j));
+      }
+      return j;
+    });
+    for (; i < rows; ++i) {
+      codes[i] = static_cast<int32_t>(PackedCode(words, bits, start + i));
+    }
+    return RefineSlots<true>(codes, sel, m, static_cast<int32_t>(code_base),
+                             static_cast<int32_t>(code_span), sel_out);
+  }
+  // Sparse survivors: gather each survivor's field.
   const PermTable& pt = GetPermTable();
   const int64_t base_bit = start * static_cast<int64_t>(bits);
   const uint32_t* base = words + (base_bit >> 5);
   const int rem = static_cast<int>(base_bit & 31);
   const __m256i vmask = PackedFieldMask(bits);
-  const __m256i vref = _mm256_set1_epi32(reference);
   const __m256i vbits = _mm256_set1_epi32(bits);
-  const __m256i vlo = _mm256_set1_epi32(lo);
-  const __m256i vhi = _mm256_set1_epi32(hi);
+  const __m256i vbase = _mm256_set1_epi32(static_cast<int32_t>(code_base));
+  const __m256i vspan = _mm256_set1_epi32(static_cast<int32_t>(code_span));
   int w = 0;
   int i = 0;
   for (; i + 8 <= m; i += 8) {
@@ -483,19 +667,17 @@ int RefineRangePackedAvx2(const uint32_t* words, int bits, int32_t reference,
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sel + i));
     const __m256i lane_bit = _mm256_add_epi32(
         _mm256_set1_epi32(rem), _mm256_mullo_epi32(idx, vbits));
-    const __m256i x = Unpack8(base, lane_bit, vmask, vref);
-    const int mask =
-        _mm256_movemask_ps(_mm256_castsi256_ps(InRange(x, vlo, vhi)));
-    const __m256i perm =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(pt.idx[mask]));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sel_out + w),
-                        _mm256_permutevar8x32_epi32(idx, perm));
-    w += __builtin_popcount(static_cast<unsigned>(mask));
+    const __m256i x = Unpack8(base, lane_bit, vmask);
+    const int mask = _mm256_movemask_ps(
+        _mm256_castsi256_ps(InCodeRange(x, vbase, vspan)));
+    w += Compact8(pt, idx, mask, sel_out + w);
   }
   for (; i < m; ++i) {
-    const int32_t v = PackedGet(words, bits, reference, start + sel[i]);
     sel_out[w] = sel[i];
-    w += (v >= lo && v <= hi) ? 1 : 0;
+    w += InCodeRange(PackedCode(words, bits, start + sel[i]), code_base,
+                     code_span)
+             ? 1
+             : 0;
   }
   return w;
 }

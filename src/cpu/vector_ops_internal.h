@@ -47,8 +47,9 @@ int ProbeDirectAvx2(const DirectTable& table, const int32_t* keys,
                     const int32_t* sel, int m, int32_t* sel_out,
                     int32_t* val_out, int32_t* pos_out);
 
-// Packed-column kernels (bit-unpack in register: two 8-lane word gathers,
-// variable shifts, mask, add reference — see vector_ops.h for contracts).
+// Packed-column kernels (see vector_ops.h for contracts): densely read
+// rows unpack from contiguous loads with a byte shuffle and per-lane
+// shifts; sparse survivors gather their word pairs. Filters compare codes.
 
 void UnpackRangeAvx2(const uint32_t* words, int bits, int32_t reference,
                      int64_t start, int n, int32_t* out);

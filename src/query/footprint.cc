@@ -71,8 +71,9 @@ FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads) {
     const int64_t bytes =
         join.keys == nullptr
             ? 0
-            : cpu::PlanJoinLayout(join.keys->data(), join.payload->data(),
-                                  join.dim_rows, probe.group_slot >= 0)
+            : cpu::PlanJoinLayout(
+                  {join.dim_rows, join.key_range, join.payload_range},
+                  probe.group_slot >= 0)
                   .bytes();
     est.builds.push_back({probe.cache_key, bytes});
     est.build_bytes += bytes;

@@ -75,15 +75,15 @@ struct FootprintEstimate {
   }
 };
 
-/// Estimates the footprint of `pipe` executed by `threads` workers.
-/// Scans each build side's key column (and a payload probe's payload
-/// column) for its range: O(dimension rows), microseconds at SF=1 but
-/// about a millisecond for the four-join specs at SF=10.
+/// Estimates the footprint of `pipe` executed by `threads` workers. Build
+/// sides are planned from the key and payload ranges lowering bound
+/// (BoundJoin, from ssb::Database::dim_ranges), so no dimension column is
+/// scanned: O(joins), independent of the scale factor.
 FootprintEstimate EstimateFootprint(const QueryPipeline& pipe, int threads);
 
 /// EstimateFootprint without the build sides (`builds` empty,
-/// `build_bytes` 0) and without their dimension scans: the aggregation and
-/// result rungs, which are all query setup claims.
+/// `build_bytes` 0): the aggregation and result rungs, which are all query
+/// setup claims.
 FootprintEstimate EstimateAggFootprint(const QueryPipeline& pipe,
                                        int threads);
 

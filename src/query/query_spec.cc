@@ -533,6 +533,8 @@ std::vector<BoundJoin> BindJoins(const QuerySpec& spec,
                   db, spec.group_by[static_cast<size_t>(plan.join_payload[j])])
             : bound[j].keys;
     bound[j].dim_rows = DimTableRows(db, join.table);
+    bound[j].key_range = db.DimRange(*bound[j].keys);
+    bound[j].payload_range = db.DimRange(*bound[j].payload);
     for (const DimFilter& f : join.filters) {
       BoundDimFilter bf;
       bf.col = &DimColumn(db, f.col);

@@ -473,6 +473,10 @@ struct BoundJoin {
   const ssb::Column* keys = nullptr;
   const ssb::Column* payload = nullptr;
   int64_t dim_rows = 0;
+  /// Value ranges of `keys` and `payload` over every dimension row
+  /// (ssb::Database::DimRange): the build-side planner's inputs.
+  ValueRange key_range;
+  ValueRange payload_range;
   std::vector<BoundDimFilter> filters;
 
   /// True when dimension row `row` passes every build-side filter.

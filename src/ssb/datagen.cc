@@ -234,6 +234,7 @@ Database Generate(const DatagenOptions& options, ThreadPool& pool) {
   db.lo.extendedprice = extendedprice.Finish();
   db.lo.revenue = revenue.Finish();
   db.lo.supplycost = supplycost.Finish();
+  db.FillDimRanges();
   return db;
 }
 

@@ -469,8 +469,8 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
     // Fact predicates: the first fills the selection vector, the rest
     // compact it in place (AVX2 compare + movemask + perm-table selective
     // store under the hood, scalar predication otherwise). Packed columns
-    // run the same stages fused with the in-register unpack — no
-    // decompressed slice ever touches memory.
+    // run the same stages fused with the unpack, comparing raw codes; only
+    // a refine over dense survivors decodes onto a stack slice first.
     bool have_sel = false;
     int m = n;
     for (const query::FilterStage& f : pipe.filters) {
@@ -498,17 +498,23 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
     }
     // Decodes a packed column's survivors into its scratch slice and
     // returns a pointer indexable exactly like a plain column slice at
-    // this vector's base (scatter-unpack keeps sel indexing valid); plain
-    // columns pass through untouched. A column read by a probe and the
-    // aggregate shares one slice.
+    // this vector's base; plain columns pass through untouched. A column
+    // read by a probe and the aggregate shares one slice. Dense survivors
+    // decode every row up to the last one with the gather-free kernel;
+    // sparse ones scatter-unpack (UnpackAt), so the cost stays
+    // proportional to the survivors. The scalar decode costs the same per
+    // row either way, so without SIMD only survivors are decoded.
     auto resolve = [&](const storage::ColumnView& v,
                        query::FactCol col) -> const int32_t* {
       if (!v.packed()) return v.plain_data() + base;
       int32_t* buf = packed_scratch[static_cast<int>(col)];
-      if (have_sel) {
-        cpu::UnpackAt(v.words(), v.bits(), v.reference(), base, sel, m, buf);
-      } else {
+      if (!have_sel) {
         cpu::UnpackRange(v.words(), v.bits(), v.reference(), base, n, buf);
+      } else if (cpu::SimdEnabled() && cpu::SurvivorsDense(sel, m)) {
+        cpu::UnpackRange(v.words(), v.bits(), v.reference(), base,
+                         sel[m - 1] + 1, buf);
+      } else {
+        cpu::UnpackAt(v.words(), v.bits(), v.reference(), base, sel, m, buf);
       }
       return buf;
     };

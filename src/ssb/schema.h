@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/aligned.h"
+#include "common/value_range.h"
 #include "storage/encoded_column.h"
 
 namespace crystal::ssb {
@@ -103,9 +104,42 @@ struct Database {
   /// recorded so reports can echo it (values are identical either way).
   storage::Encoding storage = storage::Encoding::kPlain;
 
+  /// ValueRange of every dimension column, in DimColumns() order, filled
+  /// once by ssb::Generate (FillDimRanges). Build-side planning reads its
+  /// key and payload ranges here instead of rescanning the dimension on
+  /// every query (query::EstimateFootprint).
+  std::vector<ValueRange> dim_ranges;
+
   /// Full-scale fact rows this instance stands in for (6M * SF).
   int64_t full_scale_fact_rows() const {
     return 6'000'000ll * scale_factor;
+  }
+
+  /// Every dimension column of this instance, in a fixed order.
+  std::array<const Column*, 16> DimColumns() const {
+    return {&d.datekey, &d.year,     &d.yearmonthnum, &d.weeknuminyear,
+            &c.custkey, &c.city,     &c.nation,       &c.region,
+            &s.suppkey, &s.city,     &s.nation,       &s.region,
+            &p.partkey, &p.mfgr,     &p.category,     &p.brand1};
+  }
+
+  /// Computes dim_ranges from the current dimension columns.
+  void FillDimRanges() {
+    dim_ranges.clear();
+    for (const Column* col : DimColumns()) {
+      dim_ranges.push_back(
+          ScanRange(col->data(), static_cast<int64_t>(col->size())));
+    }
+  }
+
+  /// ValueRange of one of this instance's dimension columns: the
+  /// precomputed one, or a scan when dim_ranges was never filled.
+  ValueRange DimRange(const Column& col) const {
+    const std::array<const Column*, 16> cols = DimColumns();
+    for (size_t k = 0; k < cols.size() && k < dim_ranges.size(); ++k) {
+      if (cols[k] == &col) return dim_ranges[k];
+    }
+    return ScanRange(col.data(), static_cast<int64_t>(col.size()));
   }
 };
 

@@ -37,7 +37,7 @@ int64_t PackedBytes(int64_t rows, int bits) {
 }
 
 int64_t PackedWords(int64_t rows, int bits) {
-  return (rows * bits + 31) / 32 + 1;
+  return (rows * bits + 31) / 32 + kPackedSlackWords;
 }
 
 EncodedColumn EncodedColumn::FromPlain(AlignedVector<int32_t> values) {

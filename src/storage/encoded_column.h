@@ -47,9 +47,11 @@ int BitsForSpan(uint32_t span);
 /// quantity engines charge as sequential-read / PCIe-transfer volume.
 int64_t PackedBytes(int64_t rows, int bits);
 
-/// Word count of a packed buffer: the payload words plus one tail slack
-/// word so unconditional `word[i], word[i+1]` window reads (scalar 64-bit
-/// loads and the AVX2 two-gather unpack) never read past the allocation.
+/// Word count of a packed buffer: the payload words plus
+/// kPackedSlackWords tail slack words (common/bitutil.h), so the scalar
+/// `word[i], word[i+1]` window, the AVX2 gathers and the AVX2 dense
+/// decode's 16-byte loads never read past the allocation. PackedBytes,
+/// not this, is the traffic a scan is charged.
 int64_t PackedWords(int64_t rows, int bits);
 
 /// Non-owning typed view of an encoded column. Cheap to copy; this is what
@@ -94,8 +96,8 @@ class ColumnView {
   }
 
   /// Decoded value at row i (both encodings). The packed path reads a
-  /// 64-bit window across the word boundary; the +1 tail slack word in
-  /// every packed buffer keeps the second word load in bounds.
+  /// 64-bit window across the word boundary; the tail slack words in
+  /// every packed buffer keep the second word load in bounds.
   int32_t Get(int64_t i) const {
     CRYSTAL_DCHECK(i >= 0 && i < rows_);
     if (!packed()) return plain_[i];

@@ -199,6 +199,40 @@ INSTANTIATE_TEST_SUITE_P(
     }),
     ParityName);
 
+// Packed fact columns under 1001-row morsels: 1001 * bits is odd for every
+// odd width, so vector starts walk through every bit phase and the dense
+// and sparse decode paths both run at unaligned starts.
+class MorselPackedParityTest : public testing::TestWithParam<bool> {};
+
+TEST_P(MorselPackedParityTest, OddMorselsMatchReference) {
+  const bool simd = GetParam();
+  if (simd && !cpu::SimdAvailable()) GTEST_SKIP() << "no AVX2 host";
+  static const Database* packed = [] {
+    DatagenOptions options;
+    options.scale_factor = 1;
+    options.fact_divisor = 200;
+    options.storage.encoding = storage::Encoding::kPacked;
+    return new Database(Generate(options));
+  }();
+  DispatchGuard guard;
+  cpu::SetSimdEnabled(simd);
+  ThreadPool pool(2);
+  VectorizedCpuEngine engine(*packed, pool);
+  engine.set_morsel_rows(1001);
+  for (const query::QuerySpec& spec : ParitySpecs()) {
+    const QueryResult want = RunReference(*packed, spec);
+    const QueryResult got = engine.Run(spec);
+    EXPECT_TRUE(got == want) << spec.name << " simd=" << simd << ": got "
+                             << got.ToString() << " want " << want.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SimdDispatch, MorselPackedParityTest,
+                         testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return info.param ? "simd" : "scalar";
+                         });
+
 TEST(BuildCacheTest, SecondExecuteReusesEveryBuildSide) {
   DispatchGuard guard;
   cpu::BuildCache::Process().Clear();

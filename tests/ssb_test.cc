@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "common/thread_pool.h"
 #include "sim/timing.h"
@@ -52,6 +53,33 @@ TEST(DatagenTest, DimensionHierarchiesConsistent) {
     ASSERT_EQ(db.p.category[i], db.p.brand1[i] / 100);
     ASSERT_GE(db.p.brand1[i] % 100, 1);
     ASSERT_LE(db.p.brand1[i] % 100, 40);
+  }
+}
+
+TEST(DatagenTest, DimensionRangesAreFilledOnceAndExact) {
+  // Generate fills every dimension column's range; DimRange serves them
+  // without a scan, survives a move of the Database, and agrees with a
+  // scan of the column (and with the scan fallback when unfilled).
+  Database db = Generate(1, 1000);
+  ASSERT_EQ(db.dim_ranges.size(), db.DimColumns().size());
+  EXPECT_EQ(db.DimRange(db.d.datekey).min, 19920101);
+  EXPECT_EQ(db.DimRange(db.d.datekey).max, db.d.datekey.back());
+  EXPECT_EQ(db.DimRange(db.c.custkey).min, 1);
+  EXPECT_EQ(db.DimRange(db.c.custkey).max, db.c.rows);
+  const Database moved = std::move(db);
+  Database unfilled = Generate(1, 1000);
+  unfilled.dim_ranges.clear();
+  for (size_t k = 0; k < moved.DimColumns().size(); ++k) {
+    const Column& col = *moved.DimColumns()[k];
+    const ValueRange scan =
+        ScanRange(col.data(), static_cast<int64_t>(col.size()));
+    const ValueRange got = moved.DimRange(col);
+    const ValueRange fallback =
+        unfilled.DimRange(*unfilled.DimColumns()[k]);
+    EXPECT_EQ(got.min, scan.min) << k;
+    EXPECT_EQ(got.max, scan.max) << k;
+    EXPECT_EQ(fallback.min, scan.min) << k;
+    EXPECT_EQ(fallback.max, scan.max) << k;
   }
 }
 

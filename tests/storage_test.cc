@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.h"
@@ -53,17 +55,20 @@ TEST(StorageLayoutTest, PackedBytesIsCeilRowsBitsOver8) {
 }
 
 TEST(StorageLayoutTest, PackedWordsHasTailSlack) {
-  // Payload words + 1, so 64-bit window reads at the last row stay in
-  // bounds for every (rows, bits) combination.
-  EXPECT_EQ(PackedWords(0, 9), 1);
-  EXPECT_EQ(PackedWords(1, 1), 2);
-  EXPECT_EQ(PackedWords(32, 1), 2);
-  EXPECT_EQ(PackedWords(33, 1), 3);
-  EXPECT_EQ(PackedWords(8, 32), 9);
+  // Payload words + kPackedSlackWords (4), so 64-bit window reads and the
+  // AVX2 dense decode's 16-byte loads at the last rows stay in bounds for
+  // every (rows, bits) combination.
+  EXPECT_EQ(kPackedSlackWords, 4);
+  EXPECT_EQ(PackedWords(0, 9), 4);
+  EXPECT_EQ(PackedWords(1, 1), 5);
+  EXPECT_EQ(PackedWords(32, 1), 5);
+  EXPECT_EQ(PackedWords(33, 1), 6);
+  EXPECT_EQ(PackedWords(8, 32), 12);
   for (int bits = 1; bits <= 32; ++bits) {
     for (int64_t rows : {1, 7, 64, 1000}) {
       const int64_t payload = (rows * bits + 31) / 32;
-      EXPECT_EQ(PackedWords(rows, bits), payload + 1) << rows << "x" << bits;
+      EXPECT_EQ(PackedWords(rows, bits), payload + kPackedSlackWords)
+          << rows << "x" << bits;
     }
   }
 }
@@ -260,9 +265,12 @@ TEST(ColumnBuilderTest, PlainBuilderIgnoresLayout) {
 }
 
 // ---------------------------------------------------------------------
-// CPU packed kernels vs the scalar PackedGet reference, under both SIMD
-// dispatch states. Absolute starts are swept over word-phase offsets so
-// the AVX2 lane-bit arithmetic sees every (start*bits)%32 residue class.
+// CPU packed kernels vs DecodePacked, under both SIMD dispatch states: the
+// AVX2 and scalar paths must each reproduce the one-value decode. The
+// sweep covers every width, every bit phase of a vector's start (the AVX2
+// dense decode builds its byte shuffle per (bits, start*bits % 8)), the
+// short and full vector lengths around the 8-lane groups, and survivor
+// sets on both sides of the cpu::SurvivorsDense rule.
 
 class PackedKernelsTest : public testing::TestWithParam<bool> {
  protected:
@@ -279,103 +287,151 @@ class PackedKernelsTest : public testing::TestWithParam<bool> {
   bool simd_was_enabled_ = true;
 };
 
+/// Clamps an int64 bound into int32.
+int32_t Bound(int64_t v) {
+  return static_cast<int32_t>(
+      std::clamp<int64_t>(v, INT32_MIN, INT32_MAX));
+}
+
 TEST_P(PackedKernelsTest, KernelsMatchScalarReference) {
   Rng rng(6);
-  for (int bits : {1, 4, 6, 11, 16, 17, 24, 31, 32}) {
+  constexpr int64_t kRows = 3000;
+  for (int bits = 1; bits <= 32; ++bits) {
+    // Wide odd widths store values whose reference + code wraps past
+    // INT32_MAX; the decode wraps the same way on every path.
     const int32_t reference = bits % 2 == 0 ? -1000 : 19920101;
     const int64_t span = bits >= 32 ? 0xffffffffll : (1ll << bits) - 1;
-    const int64_t rows = 3000;
-    std::vector<int32_t> values(static_cast<size_t>(rows));
+    std::vector<int32_t> values(static_cast<size_t>(kRows));
     for (int32_t& v : values) {
       v = static_cast<int32_t>(reference +
                                static_cast<int64_t>(rng.Next64() % (span + 1)));
     }
-    const EncodedColumn col = EncodedColumn::PackWithLayout(
-        values.data(), rows, reference, bits);
-    const ColumnView view = col.view();
-    const uint32_t* words = view.words();
+    const EncodedColumn col =
+        EncodedColumn::PackWithLayout(values.data(), kRows, reference, bits);
+    // An exact-size heap copy: a vector ending at the last row then ends
+    // at the end of the allocation, so an over-read past the tail slack
+    // trips AddressSanitizer.
+    const std::vector<uint32_t> buffer(
+        col.view().words(),
+        col.view().words() + PackedWords(kRows, bits));
+    const uint32_t* words = buffer.data();
 
-    // A mid-domain range predicate with real selectivity at every width.
-    const int32_t lo = static_cast<int32_t>(reference + span / 4);
-    const int32_t hi = static_cast<int32_t>(reference + (3 * span) / 4);
+    // Predicates: mid-domain, a single value, bounds below the reference,
+    // straddling it, above the domain, straddling its top, an empty range
+    // and the whole int32 range.
+    const int64_t ref = reference;
+    const std::vector<std::pair<int32_t, int32_t>> ranges = {
+        {Bound(ref + span / 4), Bound(ref + (3 * span) / 4)},
+        {values[7], values[7]},
+        {Bound(ref - 100), Bound(ref - 1)},
+        {Bound(ref - 100), Bound(ref + span / 2)},
+        {Bound(ref + span + 1), Bound(ref + span + 100)},
+        {Bound(ref + span / 2), Bound(ref + span + 100)},
+        {Bound(ref + span / 2), Bound(ref + span / 4)},
+        {INT32_MIN, INT32_MAX},
+    };
 
-    // Unaligned vector starts: 1024-aligned plus odd phases.
-    for (int64_t start : {int64_t{0}, int64_t{1}, int64_t{37}, int64_t{1024},
-                          int64_t{2029}}) {
-      const int n = static_cast<int>(
-          std::min<int64_t>(1024, rows - start));
-
-      // Scalar reference.
-      std::vector<int32_t> want_sel;
-      for (int i = 0; i < n; ++i) {
-        const int32_t v = cpu::PackedGet(words, bits, reference, start + i);
-        ASSERT_EQ(v, values[static_cast<size_t>(start + i)])
-            << "bits=" << bits << " row=" << start + i;
-        if (v >= lo && v <= hi) want_sel.push_back(i);
-      }
-
-      // SelectRangePacked.
-      std::vector<int32_t> sel(static_cast<size_t>(n) + 8);
-      const int got = cpu::SelectRangePacked(words, bits, reference, start, n,
-                                             lo, hi, sel.data());
-      ASSERT_EQ(got, static_cast<int>(want_sel.size()))
-          << "bits=" << bits << " start=" << start;
-      for (int i = 0; i < got; ++i) {
-        ASSERT_EQ(sel[static_cast<size_t>(i)], want_sel[static_cast<size_t>(i)])
-            << "bits=" << bits << " start=" << start << " i=" << i;
-      }
-
-      // RefineRangePacked over a strided selection, in place (the engine
-      // idiom), against a tighter predicate.
-      const int32_t rlo = lo;
-      const int32_t rhi = static_cast<int32_t>(reference + span / 2);
-      std::vector<int32_t> refine(static_cast<size_t>(n) + 8);
-      int m = 0;
-      for (int i = 0; i < n; i += 3) refine[static_cast<size_t>(m++)] = i;
-      std::vector<int32_t> want_refined;
-      for (int i = 0; i < m; ++i) {
-        const int32_t r = refine[static_cast<size_t>(i)];
-        const int32_t v = cpu::PackedGet(words, bits, reference, start + r);
-        if (v >= rlo && v <= rhi) want_refined.push_back(r);
-      }
-      const int kept = cpu::RefineRangePacked(words, bits, reference, start,
-                                              refine.data(), m, rlo, rhi,
-                                              refine.data());
-      ASSERT_EQ(kept, static_cast<int>(want_refined.size()))
-          << "bits=" << bits << " start=" << start;
-      for (int i = 0; i < kept; ++i) {
-        ASSERT_EQ(refine[static_cast<size_t>(i)],
-                  want_refined[static_cast<size_t>(i)])
-            << i;
-      }
-
-      // UnpackRange over the full vector.
-      std::vector<int32_t> out(static_cast<size_t>(n), 0);
-      cpu::UnpackRange(words, bits, reference, start, n, out.data());
-      for (int i = 0; i < n; ++i) {
-        ASSERT_EQ(out[static_cast<size_t>(i)],
-                  values[static_cast<size_t>(start + i)])
-            << "bits=" << bits << " start=" << start << " i=" << i;
-      }
-
-      // UnpackAt: scatter to selected slots only; others stay untouched.
-      constexpr int32_t kSentinel = -2147000000;
-      std::vector<int32_t> scatter(static_cast<size_t>(n), kSentinel);
-      cpu::UnpackAt(words, bits, reference, start, sel.data(), got,
-                    scatter.data());
-      int next_sel = 0;
-      for (int i = 0; i < n; ++i) {
-        if (next_sel < got && sel[static_cast<size_t>(next_sel)] == i) {
-          ASSERT_EQ(scatter[static_cast<size_t>(i)],
+    for (int n : {0, 1, 7, 8, 9, 1023, 1024}) {
+      std::vector<int64_t> starts = {0, 1, 2, 3, 4, 5, 6, 7, 1024,
+                                     kRows - n};
+      for (int64_t start : starts) {
+        const std::string where = "bits=" + std::to_string(bits) +
+                                  " start=" + std::to_string(start) +
+                                  " n=" + std::to_string(n);
+        std::vector<int32_t> want(static_cast<size_t>(n));
+        for (int i = 0; i < n; ++i) {
+          want[static_cast<size_t>(i)] =
+              DecodePacked(words, bits, reference, start + i);
+          ASSERT_EQ(want[static_cast<size_t>(i)],
                     values[static_cast<size_t>(start + i)])
-              << i;
-          ++next_sel;
-        } else {
-          ASSERT_EQ(scatter[static_cast<size_t>(i)], kSentinel) << i;
+              << where << " i=" << i;
+        }
+
+        // UnpackRange over the whole vector.
+        std::vector<int32_t> out(static_cast<size_t>(n) + 1, 0);
+        cpu::UnpackRange(words, bits, reference, start, n, out.data());
+        out.pop_back();
+        ASSERT_EQ(out, want) << where;
+
+        // Survivor sets: empty, one at n - 1 (sparse once n > 4), every
+        // 5th (sparse), every 4th and 3rd row (dense), and all rows.
+        std::vector<std::vector<int32_t>> survivors(6);
+        if (n > 0) survivors[1].push_back(n - 1);
+        for (int i = 0; i < n; ++i) {
+          if (i % 5 == 0) survivors[2].push_back(i);
+          if (i % 4 == 0) survivors[3].push_back(i);
+          if (i % 3 == 0) survivors[4].push_back(i);
+          survivors[5].push_back(i);
+        }
+
+        // UnpackAt: selected slots decode, the others stay untouched.
+        constexpr int32_t kSentinel = -2147000000;
+        for (const std::vector<int32_t>& s : survivors) {
+          std::vector<int32_t> got(static_cast<size_t>(n), kSentinel);
+          std::vector<int32_t> expect(static_cast<size_t>(n), kSentinel);
+          for (int32_t r : s) {
+            expect[static_cast<size_t>(r)] = want[static_cast<size_t>(r)];
+          }
+          cpu::UnpackAt(words, bits, reference, start, s.data(),
+                        static_cast<int>(s.size()), got.data());
+          ASSERT_EQ(got, expect) << where << " m=" << s.size();
+        }
+
+        for (const auto& [lo, hi] : ranges) {
+          const std::string pred = where + " lo=" + std::to_string(lo) +
+                                   " hi=" + std::to_string(hi);
+          auto passes = [&](int32_t r) {
+            const int32_t v = want[static_cast<size_t>(r)];
+            return v >= lo && v <= hi;
+          };
+          // SelectRangePacked.
+          std::vector<int32_t> want_sel;
+          for (int i = 0; i < n; ++i) {
+            if (passes(i)) want_sel.push_back(i);
+          }
+          std::vector<int32_t> sel(static_cast<size_t>(n) + 8);
+          const int got = cpu::SelectRangePacked(words, bits, reference, start,
+                                                 n, lo, hi, sel.data());
+          sel.resize(static_cast<size_t>(got));
+          ASSERT_EQ(sel, want_sel) << pred;
+
+          // RefineRangePacked in place (the engine idiom) over every
+          // survivor set.
+          for (const std::vector<int32_t>& s : survivors) {
+            std::vector<int32_t> want_kept;
+            for (int32_t r : s) {
+              if (passes(r)) want_kept.push_back(r);
+            }
+            std::vector<int32_t> kept = s;
+            kept.resize(s.size() + 8);
+            const int k = cpu::RefineRangePacked(
+                words, bits, reference, start, kept.data(),
+                static_cast<int>(s.size()), lo, hi, kept.data());
+            kept.resize(static_cast<size_t>(k));
+            ASSERT_EQ(kept, want_kept) << pred << " m=" << s.size();
+          }
         }
       }
     }
   }
+}
+
+TEST(PackedDensityTest, RuleSplitsAtOneSurvivorInFour) {
+  // Dense when m * 4 >= sel[m - 1] + 1.
+  auto strided = [](int stride, int m) {
+    std::vector<int32_t> sel;
+    for (int i = 0; i < m; ++i) sel.push_back(i * stride);
+    return sel;
+  };
+  const std::vector<int32_t> every4 = strided(4, 256);  // 1024 >= 1021
+  const std::vector<int32_t> every5 = strided(5, 10);   // 40 < 46
+  const std::vector<int32_t> last = {1023};             // 4 < 1024
+  const std::vector<int32_t> first4 = {0, 1, 2, 3};
+  EXPECT_TRUE(cpu::SurvivorsDense(every4.data(), 256));
+  EXPECT_FALSE(cpu::SurvivorsDense(every5.data(), 10));
+  EXPECT_FALSE(cpu::SurvivorsDense(last.data(), 1));
+  EXPECT_TRUE(cpu::SurvivorsDense(first4.data(), 4));
+  EXPECT_FALSE(cpu::SurvivorsDense(first4.data(), 0));
 }
 
 INSTANTIATE_TEST_SUITE_P(SimdDispatch, PackedKernelsTest, testing::Bool(),
