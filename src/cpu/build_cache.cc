@@ -89,18 +89,13 @@ JoinLayout PlanJoinLayout(const JoinDomain& domain, bool reads_payload) {
   return layout;
 }
 
-JoinLayout PlanJoinLayout(const int32_t* keys, const int32_t* payloads,
-                          int64_t n, bool reads_payload) {
-  return PlanJoinLayout({n, ScanRange(keys, n), ScanRange(payloads, n)},
-                        reads_payload);
-}
-
 JoinTable BuildJoinTable(const int32_t* keys, const int32_t* payloads,
-                         int64_t n,
+                         const JoinDomain& domain,
                          const std::function<bool(int64_t)>& pred,
                          bool reads_payload, ThreadPool& pool) {
+  const int64_t n = domain.rows;
   JoinTable table;
-  table.layout = PlanJoinLayout(keys, payloads, n, reads_payload);
+  table.layout = PlanJoinLayout(domain, reads_payload);
   const JoinLayout& layout = table.layout;
   if (layout.form == JoinForm::kHash) {
     // Domain-sized (perfect-hash-style) table, matching the paper's
@@ -137,6 +132,7 @@ JoinTable BuildJoinTable(const int32_t* keys, const int32_t* payloads,
     for (int64_t i = begin; i < end; ++i) {
       if (!pred(i)) continue;
       const int64_t off = static_cast<int64_t>(keys[i]) - base;
+      CRYSTAL_DCHECK(off >= 0 && off < layout.span);
       if (slots != nullptr) StoreSlot(slots, width, off, payloads[i]);
       if (words == nullptr) continue;
       if ((off >> 5) != word) {

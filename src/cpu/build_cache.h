@@ -64,8 +64,9 @@ struct JoinLayout {
 /// Everything PlanJoinLayout reads of a build side's columns: the row
 /// count and the key and payload value ranges over *all* rows (not only
 /// those passing a build filter, so a table's geometry is identical
-/// across filters). A planner that already knows the ranges (the
-/// footprint model, from ssb::Database::dim_ranges) skips the scan.
+/// across filters). The engine and the footprint model both take them
+/// from lowering (query::BoundJoin, ssb::Database::dim_ranges), so
+/// neither scans a dimension column; tests build them with ScanRange.
 struct JoinDomain {
   int64_t rows = 0;
   ValueRange keys;
@@ -73,7 +74,7 @@ struct JoinDomain {
 };
 
 /// Chooses the representation of the build side over keys[i] -> payloads[i]
-/// for i in [0, n), from its JoinDomain:
+/// for i in [0, n = domain.rows), from its JoinDomain:
 ///  * hash when direct tables are disabled (DirectJoinEnabled()) or the key
 ///    domain is not compact: span > max(4n, 2^16), or > 2^26 entries
 ///    (256 MB would never be cache-resident);
@@ -86,11 +87,6 @@ struct JoinDomain {
 ///    an int32 payload is INT32_MIN itself (the bitmap needs no
 ///    sentinel).
 JoinLayout PlanJoinLayout(const JoinDomain& domain, bool reads_payload);
-
-/// PlanJoinLayout over the domain of keys[i] -> payloads[i], i in [0, n):
-/// one pass over each column.
-JoinLayout PlanJoinLayout(const int32_t* keys, const int32_t* payloads,
-                          int64_t n, bool reads_payload);
 
 /// Build side of one dimension join, in the representation the probe
 /// kernels consume (JoinLayout). Immutable after BuildJoinTable, so
@@ -131,13 +127,14 @@ bool DirectJoinEnabled();
 void SetDirectJoinEnabled(bool enabled);
 
 /// Builds the lookup table over keys[i] -> payloads[i] for the rows in
-/// [0, n) where pred(i) is true, in the PlanJoinLayout representation,
-/// with one parallel pass over the dimension (direct stores, bitmap words
+/// [0, domain.rows) where pred(i) is true, in the PlanJoinLayout
+/// representation of `domain` (which must be those columns' ranges), with
+/// one parallel pass over the dimension (direct stores, bitmap words
 /// merged with atomic ORs, or CAS hash inserts; keys must be unique, and
 /// >= 0 for the hash form). A table built with `reads_payload` false may
 /// be a bitmap, which reports each match's probe key as its payload.
 JoinTable BuildJoinTable(const int32_t* keys, const int32_t* payloads,
-                         int64_t n,
+                         const JoinDomain& domain,
                          const std::function<bool(int64_t)>& pred,
                          bool reads_payload, ThreadPool& pool);
 

@@ -301,6 +301,17 @@ void UnpackAt(const uint32_t* words, int bits, int32_t reference,
   UnpackAtScalar(words, bits, reference, start, sel, m, out);
 }
 
+void UnpackSurvivors(const uint32_t* words, int bits, int32_t reference,
+                     int64_t start, const int32_t* sel, int m, int32_t* out) {
+  if (SimdEnabled() && m > 0 &&
+      int64_t{m} * kDenseSurvivorStride >= int64_t{sel[m - 1]} + 1) {
+    internal::UnpackRangeAvx2(words, bits, reference, start, sel[m - 1] + 1,
+                              out);
+    return;
+  }
+  UnpackAt(words, bits, reference, start, sel, m, out);
+}
+
 int SelectRangePacked(const uint32_t* words, int bits, int32_t reference,
                       int64_t start, int n, int32_t lo, int32_t hi,
                       int32_t* sel) {

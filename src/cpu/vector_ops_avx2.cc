@@ -94,41 +94,6 @@ inline int Compact8(const PermTable& pt, __m256i idx, int mask,
   return __builtin_popcount(static_cast<unsigned>(mask));
 }
 
-/// RefineRange over a plain slice: signed values in [lo, hi], or (kCodes)
-/// the raw codes a packed kernel decoded, tested with InCodeRange against
-/// base = lo and span = hi.
-template <bool kCodes>
-int RefineSlots(const int32_t* col, const int32_t* sel, int m, int32_t lo,
-                int32_t hi, int32_t* sel_out) {
-  const PermTable& pt = GetPermTable();
-  const __m256i vlo = _mm256_set1_epi32(lo);
-  const __m256i vhi = _mm256_set1_epi32(hi);
-  int w = 0;
-  int i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sel + i));
-    const __m256i x = _mm256_i32gather_epi32(col, idx, 4);
-    const __m256i in = kCodes ? InCodeRange(x, vlo, vhi)
-                              : InRange(x, vlo, vhi);
-    w += Compact8(pt, idx, _mm256_movemask_ps(_mm256_castsi256_ps(in)),
-                  sel_out + w);
-  }
-  for (; i < m; ++i) {
-    const int32_t v = col[sel[i]];
-    sel_out[w] = sel[i];
-    if constexpr (kCodes) {
-      w += InCodeRange(static_cast<uint32_t>(v), static_cast<uint32_t>(lo),
-                       static_cast<uint32_t>(hi))
-               ? 1
-               : 0;
-    } else {
-      w += (v >= lo && v <= hi) ? 1 : 0;
-    }
-  }
-  return w;
-}
-
 }  // namespace
 
 int SelectRangeAvx2(const int32_t* col, int n, int32_t lo, int32_t hi,
@@ -155,7 +120,25 @@ int SelectRangeAvx2(const int32_t* col, int n, int32_t lo, int32_t hi,
 
 int RefineRangeAvx2(const int32_t* col, const int32_t* sel, int m, int32_t lo,
                     int32_t hi, int32_t* sel_out) {
-  return RefineSlots<false>(col, sel, m, lo, hi, sel_out);
+  const PermTable& pt = GetPermTable();
+  const __m256i vlo = _mm256_set1_epi32(lo);
+  const __m256i vhi = _mm256_set1_epi32(hi);
+  int w = 0;
+  int i = 0;
+  for (; i + 8 <= m; i += 8) {
+    const __m256i idx =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sel + i));
+    const __m256i x = _mm256_i32gather_epi32(col, idx, 4);
+    const int mask =
+        _mm256_movemask_ps(_mm256_castsi256_ps(InRange(x, vlo, vhi)));
+    w += Compact8(pt, idx, mask, sel_out + w);
+  }
+  for (; i < m; ++i) {
+    const int32_t v = col[sel[i]];
+    sel_out[w] = sel[i];
+    w += (v >= lo && v <= hi) ? 1 : 0;
+  }
+  return w;
 }
 
 int ProbeSelectAvx2(const HashTable& ht, const int32_t* keys,
@@ -531,8 +514,8 @@ inline bool CodeBounds(int bits, int32_t reference, int32_t lo, int32_t hi,
 
 /// Raw codes of 8 packed lanes whose bit offsets relative to `base` (the
 /// word holding the vector's first bit) are in `lane_bit`: gather the word
-/// pair around each field, funnel-shift, mask. The sparse-survivor path:
-/// srlv/sllv yield 0 for shift counts >= 32, so the sh == 0 straddle term
+/// pair around each field, funnel-shift, mask. The survivor path
+/// (UnpackAt, RefineRangePacked): srlv/sllv yield 0 for shift counts >= 32, so the sh == 0 straddle term
 /// vanishes without a branch, and the tail slack keeps the second gather
 /// in bounds on the last field.
 inline __m256i Unpack8(const uint32_t* base, __m256i lane_bit,
@@ -548,10 +531,6 @@ inline __m256i Unpack8(const uint32_t* base, __m256i lane_bit,
       _mm256_sllv_epi32(w1, _mm256_sub_epi32(_mm256_set1_epi32(32), sh));
   return _mm256_and_si256(_mm256_or_si256(low, high), vmask);
 }
-
-/// Rows a dense-survivor refine decodes onto the stack at most: one
-/// engine vector.
-constexpr int kDenseSliceRows = 1024;
 
 }  // namespace
 
@@ -632,26 +611,6 @@ int RefineRangePackedAvx2(const uint32_t* words, int bits, int32_t reference,
   if (m == 0 || !CodeBounds(bits, reference, lo, hi, &code_base, &code_span)) {
     return 0;
   }
-  const int rows = sel[m - 1] + 1;
-  if (rows <= kDenseSliceRows && SurvivorsDense(sel, m)) {
-    // Dense survivors: decode every row up to the last one without a
-    // gather, then refine over the decoded codes.
-    alignas(32) int32_t codes[kDenseSliceRows];
-    int i = WithDenseDecoder(words, bits, start, [&](const auto& dec) {
-      int j = 0;
-      for (; j + 8 <= rows; j += 8) {
-        _mm256_store_si256(reinterpret_cast<__m256i*>(codes + j),
-                           dec.Codes(j));
-      }
-      return j;
-    });
-    for (; i < rows; ++i) {
-      codes[i] = static_cast<int32_t>(PackedCode(words, bits, start + i));
-    }
-    return RefineSlots<true>(codes, sel, m, static_cast<int32_t>(code_base),
-                             static_cast<int32_t>(code_span), sel_out);
-  }
-  // Sparse survivors: gather each survivor's field.
   const PermTable& pt = GetPermTable();
   const int64_t base_bit = start * static_cast<int64_t>(bits);
   const uint32_t* base = words + (base_bit >> 5);

@@ -49,7 +49,8 @@ int ProbeDirectAvx2(const DirectTable& table, const int32_t* keys,
 
 // Packed-column kernels (see vector_ops.h for contracts): densely read
 // rows unpack from contiguous loads with a byte shuffle and per-lane
-// shifts; sparse survivors gather their word pairs. Filters compare codes.
+// shifts; UnpackAt and RefineRangePacked gather each survivor's word
+// pair. Filters compare codes.
 
 void UnpackRangeAvx2(const uint32_t* words, int bits, int32_t reference,
                      int64_t start, int n, int32_t* out);

@@ -262,7 +262,8 @@ struct FusedQuery::Impl {
               generation, probe.cache_key,
               [&join, &probe, &build_pool] {
                 return cpu::BuildJoinTable(
-                    join.keys->data(), join.payload->data(), join.dim_rows,
+                    join.keys->data(), join.payload->data(),
+                    {join.dim_rows, join.key_range, join.payload_range},
                     [&join](int64_t i) {
                       return join.RowPasses(static_cast<size_t>(i));
                     },
@@ -469,8 +470,8 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
     // Fact predicates: the first fills the selection vector, the rest
     // compact it in place (AVX2 compare + movemask + perm-table selective
     // store under the hood, scalar predication otherwise). Packed columns
-    // run the same stages fused with the unpack, comparing raw codes; only
-    // a refine over dense survivors decodes onto a stack slice first.
+    // run the same stages fused with the unpack, comparing raw codes — no
+    // decompressed slice ever touches memory.
     bool have_sel = false;
     int m = n;
     for (const query::FilterStage& f : pipe.filters) {
@@ -499,22 +500,17 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
     // Decodes a packed column's survivors into its scratch slice and
     // returns a pointer indexable exactly like a plain column slice at
     // this vector's base; plain columns pass through untouched. A column
-    // read by a probe and the aggregate shares one slice. Dense survivors
-    // decode every row up to the last one with the gather-free kernel;
-    // sparse ones scatter-unpack (UnpackAt), so the cost stays
-    // proportional to the survivors. The scalar decode costs the same per
-    // row either way, so without SIMD only survivors are decoded.
+    // read by a probe and the aggregate shares one slice. UnpackSurvivors
+    // keeps sparse survivors' cost proportional to the survivors.
     auto resolve = [&](const storage::ColumnView& v,
                        query::FactCol col) -> const int32_t* {
       if (!v.packed()) return v.plain_data() + base;
       int32_t* buf = packed_scratch[static_cast<int>(col)];
-      if (!have_sel) {
-        cpu::UnpackRange(v.words(), v.bits(), v.reference(), base, n, buf);
-      } else if (cpu::SimdEnabled() && cpu::SurvivorsDense(sel, m)) {
-        cpu::UnpackRange(v.words(), v.bits(), v.reference(), base,
-                         sel[m - 1] + 1, buf);
+      if (have_sel) {
+        cpu::UnpackSurvivors(v.words(), v.bits(), v.reference(), base, sel,
+                             m, buf);
       } else {
-        cpu::UnpackAt(v.words(), v.bits(), v.reference(), base, sel, m, buf);
+        cpu::UnpackRange(v.words(), v.bits(), v.reference(), base, n, buf);
       }
       return buf;
     };

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/aligned.h"
+#include "common/macros.h"
 #include "common/value_range.h"
 #include "storage/encoded_column.h"
 
@@ -132,14 +133,17 @@ struct Database {
     }
   }
 
-  /// ValueRange of one of this instance's dimension columns: the
-  /// precomputed one, or a scan when dim_ranges was never filled.
+  /// The precomputed ValueRange of one of this instance's dimension
+  /// columns (FillDimRanges must have run, as ssb::Generate does).
   ValueRange DimRange(const Column& col) const {
     const std::array<const Column*, 16> cols = DimColumns();
-    for (size_t k = 0; k < cols.size() && k < dim_ranges.size(); ++k) {
+    CRYSTAL_CHECK_MSG(dim_ranges.size() == cols.size(),
+                      "dimension ranges not filled (FillDimRanges)");
+    for (size_t k = 0; k < cols.size(); ++k) {
       if (cols[k] == &col) return dim_ranges[k];
     }
-    return ScanRange(col.data(), static_cast<int64_t>(col.size()));
+    CRYSTAL_CHECK_MSG(false, "not a dimension column of this database");
+    return {};
   }
 };
 

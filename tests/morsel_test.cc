@@ -910,6 +910,12 @@ void ExpectSameProbes(const cpu::JoinTable& a, const cpu::JoinTable& b,
   }
 }
 
+/// The JoinDomain of keys[i] -> payloads[i], i in [0, n), by scanning.
+cpu::JoinDomain DomainOf(const int32_t* keys, const int32_t* payloads,
+                         int64_t n) {
+  return {n, ScanRange(keys, n), ScanRange(payloads, n)};
+}
+
 TEST(BuildJoinTableTest, DirectAndHashRepresentationsAgree) {
   // Build every representation of one filtered build side directly and
   // probe them with every kernel path; they must emit identical matches.
@@ -924,9 +930,11 @@ TEST(BuildJoinTableTest, DirectAndHashRepresentationsAgree) {
   for (bool reads_payload : {true, false}) {
     const int32_t* payloads =
         reads_payload ? db.p.brand1.data() : db.p.partkey.data();
+    const cpu::JoinDomain domain =
+        DomainOf(db.p.partkey.data(), payloads, db.p.rows);
     cpu::SetDirectJoinEnabled(true);
     const cpu::JoinTable direct =
-        cpu::BuildJoinTable(db.p.partkey.data(), payloads, db.p.rows, pred,
+        cpu::BuildJoinTable(db.p.partkey.data(), payloads, domain, pred,
                             reads_payload, pool);
     ASSERT_TRUE(direct.is_direct());
     EXPECT_EQ(direct.layout.form, reads_payload ? cpu::JoinForm::kPayload
@@ -938,7 +946,7 @@ TEST(BuildJoinTableTest, DirectAndHashRepresentationsAgree) {
 
     cpu::SetDirectJoinEnabled(false);
     const cpu::JoinTable hash =
-        cpu::BuildJoinTable(db.p.partkey.data(), payloads, db.p.rows, pred,
+        cpu::BuildJoinTable(db.p.partkey.data(), payloads, domain, pred,
                             reads_payload, pool);
     ASSERT_FALSE(hash.is_direct());
     EXPECT_EQ(hash.bytes(), hash.layout.bytes());
@@ -962,13 +970,16 @@ TEST(BuildJoinTableTest, Int32MinPayloadTakesTheTwoLevelForm) {
   }
   const auto pred = [](int64_t i) { return i % 5 != 0; };
   cpu::SetDirectJoinEnabled(true);
+  const cpu::JoinDomain domain = DomainOf(keys.data(), payloads.data(), n);
   const cpu::JoinTable direct = cpu::BuildJoinTable(
-      keys.data(), payloads.data(), n, pred, /*reads_payload=*/true, pool);
+      keys.data(), payloads.data(), domain, pred, /*reads_payload=*/true,
+      pool);
   EXPECT_EQ(direct.layout.form, cpu::JoinForm::kTwoLevel);
   EXPECT_EQ(direct.layout.width, 4);
   cpu::SetDirectJoinEnabled(false);
   const cpu::JoinTable hash = cpu::BuildJoinTable(
-      keys.data(), payloads.data(), n, pred, /*reads_payload=*/true, pool);
+      keys.data(), payloads.data(), domain, pred, /*reads_payload=*/true,
+      pool);
   ASSERT_FALSE(hash.is_direct());
 
   // Probe keys below, inside and past the domain, negative ones included.
@@ -989,7 +1000,8 @@ TEST(BuildJoinTableTest, LayoutPicksTheNarrowestSentinelFreeWidth) {
   const auto plan = [&](int32_t lo, int32_t hi) {
     payloads[0] = lo;
     payloads[1] = hi;
-    return cpu::PlanJoinLayout(keys.data(), payloads.data(), n, true);
+    return cpu::PlanJoinLayout(DomainOf(keys.data(), payloads.data(), n),
+                               true);
   };
   EXPECT_EQ(plan(0, 254).width, 1);
   EXPECT_EQ(plan(0, 255).width, 2);  // 0xFF is the uint8 sentinel
@@ -999,7 +1011,7 @@ TEST(BuildJoinTableTest, LayoutPicksTheNarrowestSentinelFreeWidth) {
   EXPECT_EQ(plan(0, 3).form, cpu::JoinForm::kPayload);
   EXPECT_EQ(plan(INT32_MIN, 3).form, cpu::JoinForm::kTwoLevel);
   const cpu::JoinLayout bitmap =
-      cpu::PlanJoinLayout(keys.data(), payloads.data(), n, false);
+      cpu::PlanJoinLayout(DomainOf(keys.data(), payloads.data(), n), false);
   EXPECT_EQ(bitmap.form, cpu::JoinForm::kBitmap);
   EXPECT_EQ(bitmap.bytes(), (n + 31) / 32 * 4);
 
@@ -1008,12 +1020,12 @@ TEST(BuildJoinTableTest, LayoutPicksTheNarrowestSentinelFreeWidth) {
   const int64_t big = cpu::kMaxSingleLevelBytes / 2 + 1;
   std::vector<int32_t> big_keys(big), big_payloads(big, 300);
   for (int64_t i = 0; i < big; ++i) big_keys[i] = static_cast<int32_t>(i);
-  const cpu::JoinLayout two =
-      cpu::PlanJoinLayout(big_keys.data(), big_payloads.data(), big, true);
+  const cpu::JoinLayout two = cpu::PlanJoinLayout(
+      DomainOf(big_keys.data(), big_payloads.data(), big), true);
   EXPECT_EQ(two.form, cpu::JoinForm::kTwoLevel);
   EXPECT_EQ(two.width, 2);
   const cpu::JoinLayout one = cpu::PlanJoinLayout(
-      big_keys.data(), big_payloads.data(), big - 1, true);
+      DomainOf(big_keys.data(), big_payloads.data(), big - 1), true);
   EXPECT_EQ(one.form, cpu::JoinForm::kPayload);
   EXPECT_EQ(one.bytes(), (big - 1) * 2 + 2);
 }
@@ -1050,8 +1062,9 @@ TEST(Sf10DimensionsTest, FootprintPredictsEveryBuiltTableExactly) {
   specs.push_back(query::TpchQ1Analog());
   specs.push_back(query::TpchQ6Analog());
   // q2.x and q4.3 group by p_brand1: their part side is two-level.
-  ASSERT_EQ(cpu::PlanJoinLayout(db.p.partkey.data(), db.p.brand1.data(),
-                                db.p.rows, /*reads_payload=*/true)
+  ASSERT_EQ(cpu::PlanJoinLayout(
+                DomainOf(db.p.partkey.data(), db.p.brand1.data(), db.p.rows),
+                /*reads_payload=*/true)
                 .form,
             cpu::JoinForm::kTwoLevel);
   for (const query::QuerySpec& spec : specs) {

@@ -270,7 +270,7 @@ TEST(ColumnBuilderTest, PlainBuilderIgnoresLayout) {
 // sweep covers every width, every bit phase of a vector's start (the AVX2
 // dense decode builds its byte shuffle per (bits, start*bits % 8)), the
 // short and full vector lengths around the 8-lane groups, and survivor
-// sets on both sides of the cpu::SurvivorsDense rule.
+// sets on both sides of UnpackSurvivors' density rule.
 
 class PackedKernelsTest : public testing::TestWithParam<bool> {
  protected:
@@ -353,8 +353,9 @@ TEST_P(PackedKernelsTest, KernelsMatchScalarReference) {
         out.pop_back();
         ASSERT_EQ(out, want) << where;
 
-        // Survivor sets: empty, one at n - 1 (sparse once n > 4), every
-        // 5th (sparse), every 4th and 3rd row (dense), and all rows.
+        // Survivor sets: empty, one at n - 1 (sparse once n > 3), every
+        // 5th and 4th row (sparse once n > 9), every 3rd row (dense), and
+        // all rows.
         std::vector<std::vector<int32_t>> survivors(6);
         if (n > 0) survivors[1].push_back(n - 1);
         for (int i = 0; i < n; ++i) {
@@ -365,16 +366,31 @@ TEST_P(PackedKernelsTest, KernelsMatchScalarReference) {
         }
 
         // UnpackAt: selected slots decode, the others stay untouched.
+        // UnpackSurvivors: selected slots decode, the others stay
+        // untouched or hold their own decoded value.
         constexpr int32_t kSentinel = -2147000000;
         for (const std::vector<int32_t>& s : survivors) {
+          const int m = static_cast<int>(s.size());
           std::vector<int32_t> got(static_cast<size_t>(n), kSentinel);
           std::vector<int32_t> expect(static_cast<size_t>(n), kSentinel);
           for (int32_t r : s) {
             expect[static_cast<size_t>(r)] = want[static_cast<size_t>(r)];
           }
-          cpu::UnpackAt(words, bits, reference, start, s.data(),
-                        static_cast<int>(s.size()), got.data());
-          ASSERT_EQ(got, expect) << where << " m=" << s.size();
+          cpu::UnpackAt(words, bits, reference, start, s.data(), m,
+                        got.data());
+          ASSERT_EQ(got, expect) << where << " m=" << m;
+
+          std::fill(got.begin(), got.end(), kSentinel);
+          cpu::UnpackSurvivors(words, bits, reference, start, s.data(), m,
+                               got.data());
+          for (int i = 0; i < n; ++i) {
+            const size_t k = static_cast<size_t>(i);
+            if (got[k] != expect[k]) {
+              ASSERT_EQ(expect[k], kSentinel) << where << " m=" << m;
+              ASSERT_EQ(got[k], want[k]) << where << " m=" << m << " i=" << i;
+              ASSERT_LE(i, s.back()) << where << " m=" << m;
+            }
+          }
         }
 
         for (const auto& [lo, hi] : ranges) {
@@ -416,22 +432,38 @@ TEST_P(PackedKernelsTest, KernelsMatchScalarReference) {
   }
 }
 
-TEST(PackedDensityTest, RuleSplitsAtOneSurvivorInFour) {
-  // Dense when m * 4 >= sel[m - 1] + 1.
-  auto strided = [](int stride, int m) {
+TEST_P(PackedKernelsTest, UnpackSurvivorsSplitsAtTheDensityRule) {
+  // With SIMD, m survivors whose last row is m * kDenseSurvivorStride - 1
+  // decode the whole prefix (rows between survivors hold their values);
+  // one row further on they are sparse and only the survivors are
+  // written. Without SIMD only survivors are ever written.
+  constexpr int kStride = cpu::kDenseSurvivorStride;
+  constexpr int kBits = 11;
+  constexpr int32_t kReference = 7;
+  constexpr int kSurvivors = 100;
+  constexpr int kRows = kSurvivors * kStride + 1;
+  std::vector<int32_t> values(kRows);
+  for (int i = 0; i < kRows; ++i) values[i] = kReference + (i * 37) % 2000;
+  const EncodedColumn col =
+      EncodedColumn::PackWithLayout(values.data(), kRows, kReference, kBits);
+  constexpr int32_t kSentinel = -1;
+  for (int last : {kSurvivors * kStride - 1, kSurvivors * kStride}) {
     std::vector<int32_t> sel;
-    for (int i = 0; i < m; ++i) sel.push_back(i * stride);
-    return sel;
-  };
-  const std::vector<int32_t> every4 = strided(4, 256);  // 1024 >= 1021
-  const std::vector<int32_t> every5 = strided(5, 10);   // 40 < 46
-  const std::vector<int32_t> last = {1023};             // 4 < 1024
-  const std::vector<int32_t> first4 = {0, 1, 2, 3};
-  EXPECT_TRUE(cpu::SurvivorsDense(every4.data(), 256));
-  EXPECT_FALSE(cpu::SurvivorsDense(every5.data(), 10));
-  EXPECT_FALSE(cpu::SurvivorsDense(last.data(), 1));
-  EXPECT_TRUE(cpu::SurvivorsDense(first4.data(), 4));
-  EXPECT_FALSE(cpu::SurvivorsDense(first4.data(), 0));
+    for (int i = 0; i + 1 < kSurvivors; ++i) sel.push_back(i * kStride);
+    sel.push_back(last);
+    std::vector<int32_t> out(kRows, kSentinel);
+    cpu::UnpackSurvivors(col.view().words(), kBits, kReference, 0,
+                         sel.data(), kSurvivors, out.data());
+    const bool dense = GetParam() && last < kSurvivors * kStride;
+    for (int i = 0; i < kRows; ++i) {
+      const bool selected = std::binary_search(sel.begin(), sel.end(), i);
+      const int32_t expect = selected || (dense && i <= last)
+                                 ? values[static_cast<size_t>(i)]
+                                 : kSentinel;
+      ASSERT_EQ(out[static_cast<size_t>(i)], expect)
+          << "last=" << last << " i=" << i;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(SimdDispatch, PackedKernelsTest, testing::Bool(),
