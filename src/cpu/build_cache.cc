@@ -1,9 +1,7 @@
 #include "cpu/build_cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <iterator>
@@ -18,20 +16,6 @@
 namespace crystal::cpu {
 
 namespace {
-
-/// Direct spans beyond this never pay off: the table stops being
-/// cache-resident and the build's sentinel fill dominates.
-constexpr int64_t kMaxDirectSpan = int64_t{1} << 26;
-
-bool InitialDirectEnabled() {
-  const char* env = std::getenv("CRYSTAL_DIRECT_JOIN");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
-std::atomic<bool>& DirectFlag() {
-  static std::atomic<bool> enabled{InitialDirectEnabled()};
-  return enabled;
-}
 
 /// Stores the low `width` bytes of v (little-endian) at slot `off`.
 void StoreSlot(uint8_t* payload, int width, int64_t off, int32_t v) {
@@ -50,32 +34,12 @@ void StoreSlot(uint8_t* payload, int width, int64_t off, int32_t v) {
 
 }  // namespace
 
-bool DirectJoinEnabled() {
-  return DirectFlag().load(std::memory_order_relaxed);
-}
-
-void SetDirectJoinEnabled(bool enabled) {
-  DirectFlag().store(enabled, std::memory_order_relaxed);
-}
-
 JoinLayout PlanJoinLayout(const JoinDomain& domain, bool reads_payload) {
-  const int64_t n = domain.rows;
   JoinLayout layout;
-  layout.hash_slots = HashTable::SlotsFor(std::max<int64_t>(n, 1), 1.0);
-  if (n <= 0 || !DirectJoinEnabled()) return layout;
-  const int64_t span =
-      static_cast<int64_t>(domain.keys.max) - domain.keys.min + 1;
-  if (span > std::max<int64_t>(4 * n, int64_t{1} << 16) ||
-      span > kMaxDirectSpan) {
-    return layout;
-  }
-  layout.hash_slots = 0;
+  layout.span = domain.span();
+  if (layout.span == 0) return layout;
   layout.base = domain.keys.min;
-  layout.span = span;
-  if (!reads_payload) {
-    layout.form = JoinForm::kBitmap;
-    return layout;
-  }
+  if (!reads_payload) return layout;
   const int32_t min_pay = domain.payloads.min;
   const int32_t max_pay = domain.payloads.max;
   layout.width = min_pay < 0                    ? 4
@@ -83,9 +47,9 @@ JoinLayout PlanJoinLayout(const JoinDomain& domain, bool reads_payload) {
                  : max_pay < DirectSentinel(2) ? 2
                                                : 4;
   const bool sentinel_free = layout.width < 4 || min_pay != DirectSentinel(4);
-  layout.form = sentinel_free && span * layout.width <= kMaxSingleLevelBytes
-                    ? JoinForm::kPayload
-                    : JoinForm::kTwoLevel;
+  const bool fits = layout.span * layout.width <= kMaxSingleLevelBytes;
+  layout.form =
+      sentinel_free && fits ? JoinForm::kPayload : JoinForm::kTwoLevel;
   return layout;
 }
 
@@ -97,17 +61,8 @@ JoinTable BuildJoinTable(const int32_t* keys, const int32_t* payloads,
   JoinTable table;
   table.layout = PlanJoinLayout(domain, reads_payload);
   const JoinLayout& layout = table.layout;
-  if (layout.form == JoinForm::kHash) {
-    // Domain-sized (perfect-hash-style) table, matching the paper's
-    // sizing; threads claim slots directly with compare-and-swap.
-    table.hash.emplace(std::max<int64_t>(n, 1), /*max_fill=*/1.0);
-    pool.ParallelFor(n, [&](int, int64_t begin, int64_t end) {
-      for (int64_t i = begin; i < end; ++i) {
-        if (pred(i)) table.hash->Insert(keys[i], payloads[i]);
-      }
-    });
-    return table;
-  }
+  CRYSTAL_CHECK_MSG(layout.span <= kMaxJoinSpan,
+                    "build-side key domain wider than kMaxJoinSpan");
   table.bits.assign(static_cast<size_t>(layout.bitmap_words()), 0);
   table.payload.resize(static_cast<size_t>(layout.payload_bytes()));
   uint32_t* words = layout.has_bits() ? table.bits.data() : nullptr;

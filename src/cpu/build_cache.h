@@ -6,7 +6,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -15,7 +14,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "common/value_range.h"
-#include "cpu/hash_join.h"
 #include "cpu/vector_ops.h"
 
 namespace crystal::cpu {
@@ -27,9 +25,14 @@ namespace crystal::cpu {
 /// same constant (query::EstimateFootprint via PlanJoinLayout).
 inline constexpr int64_t kMaxSingleLevelBytes = int64_t{1} << 20;
 
-/// Representation of one build side.
+/// The widest key domain a build side can address: DirectTable's slot
+/// offsets are int32 lanes. Planning is total (PlanJoinLayout sizes any
+/// span); engines reject a wider dimension before building it.
+inline constexpr int64_t kMaxJoinSpan = INT32_MAX;
+
+/// Representation of one build side: key k lives at slot k - base of a
+/// span-slot domain (the degenerate perfect hash, see DirectTable).
 enum class JoinForm : uint8_t {
-  kHash,      // linear-probing HashTable (non-compact key domain)
   kBitmap,    // presence bitmap: the probe reads no payload
   kPayload,   // width-byte payload array, sentinel in absent slots
   kTwoLevel,  // presence bitmap + width-byte payload array
@@ -38,11 +41,10 @@ enum class JoinForm : uint8_t {
 /// Geometry of a build side, decided before anything is allocated, so the
 /// footprint model and the builder agree byte for byte.
 struct JoinLayout {
-  JoinForm form = JoinForm::kHash;
-  int width = 4;       // payload bytes per slot (kPayload, kTwoLevel)
-  int32_t base = 0;    // smallest key (direct forms)
-  int64_t span = 0;    // key domain size (direct forms)
-  int64_t hash_slots = 0;  // kHash
+  JoinForm form = JoinForm::kBitmap;
+  int width = 4;      // payload bytes per slot (kPayload, kTwoLevel)
+  int32_t base = 0;   // smallest key
+  int64_t span = 0;   // key domain size
 
   bool has_bits() const {
     return form == JoinForm::kBitmap || form == JoinForm::kTwoLevel;
@@ -55,10 +57,7 @@ struct JoinLayout {
   int64_t payload_bytes() const {
     return has_payload() ? span * width + (4 - width) : 0;
   }
-  int64_t bytes() const {
-    return form == JoinForm::kHash ? hash_slots * 8
-                                   : bitmap_words() * 4 + payload_bytes();
-  }
+  int64_t bytes() const { return bitmap_words() * 4 + payload_bytes(); }
 };
 
 /// Everything PlanJoinLayout reads of a build side's columns: the row
@@ -71,21 +70,26 @@ struct JoinDomain {
   int64_t rows = 0;
   ValueRange keys;
   ValueRange payloads;
+
+  /// Slots of the key domain [keys.min, keys.max]; 0 when empty.
+  int64_t span() const {
+    return rows > 0 ? static_cast<int64_t>(keys.max) - keys.min + 1 : 0;
+  }
 };
 
 /// Chooses the representation of the build side over keys[i] -> payloads[i]
-/// for i in [0, n = domain.rows), from its JoinDomain:
-///  * hash when direct tables are disabled (DirectJoinEnabled()) or the key
-///    domain is not compact: span > max(4n, 2^16), or > 2^26 entries
-///    (256 MB would never be cache-resident);
-///  * else a presence bitmap when the probe reads no payload
-///    (`reads_payload` false — a filter-only join);
+/// for i in [0, n = domain.rows), from its JoinDomain, over the slots
+/// [keys.min, keys.max]:
+///  * a presence bitmap when the probe reads no payload
+///    (`reads_payload` false — a filter-only join), or when the domain is
+///    empty (zero words: every probe misses);
 ///  * else a payload array at the narrowest width whose all-ones sentinel
 ///    is free: uint8 for payloads in [0, 255), uint16 in [0, 65535), else
 ///    int32 with INT32_MIN (DirectSentinel);
 ///  * two-level instead when that array exceeds kMaxSingleLevelBytes, or when
 ///    an int32 payload is INT32_MIN itself (the bitmap needs no
 ///    sentinel).
+/// Any span is planned, kMaxJoinSpan or not, so size models stay total.
 JoinLayout PlanJoinLayout(const JoinDomain& domain, bool reads_payload);
 
 /// Build side of one dimension join, in the representation the probe
@@ -99,55 +103,35 @@ struct JoinTable {
   AlignedVector<uint32_t> bits;
   /// Payload array (kPayload, kTwoLevel): layout.width bytes per slot.
   AlignedVector<uint8_t> payload;
-  /// Engaged exactly for JoinForm::kHash.
-  std::optional<HashTable> hash;
 
-  bool is_direct() const { return !hash.has_value(); }
+  /// The probe kernels' view (ProbeDirect). An empty domain's bitmap has
+  /// no words, but the AVX2 probe reads word 0 in its masked-off lanes:
+  /// it sees one zero word instead.
   DirectTable direct() const {
-    return {layout.has_bits() ? bits.data() : nullptr,
+    static constexpr uint32_t kNoBits[1] = {0};
+    const uint32_t* words = bits.empty() ? kNoBits : bits.data();
+    return {layout.has_bits() ? words : nullptr,
             layout.has_payload() ? payload.data() : nullptr, layout.width,
             layout.span, layout.base};
   }
   /// Bytes actually held; equals layout.bytes() for built tables.
   int64_t bytes() const {
     return static_cast<int64_t>(bits.size()) * 4 +
-           static_cast<int64_t>(payload.size()) +
-           (hash.has_value() ? hash->bytes() : 0);
+           static_cast<int64_t>(payload.size());
   }
 };
 
-/// True when direct-address build sides are in use: not disabled via
-/// CRYSTAL_DIRECT_JOIN=0 in the environment or SetDirectJoinEnabled(false).
-/// With direct tables off every build side falls back to the HashTable
-/// path — the parity suite runs both.
-bool DirectJoinEnabled();
-
-/// Force-enables/disables direct-address build sides (tests, ablations).
-/// Thread-safe; affects subsequent builds only, never existing tables.
-void SetDirectJoinEnabled(bool enabled);
-
 /// Builds the lookup table over keys[i] -> payloads[i] for the rows in
 /// [0, domain.rows) where pred(i) is true, in the PlanJoinLayout
-/// representation of `domain` (which must be those columns' ranges), with
-/// one parallel pass over the dimension (direct stores, bitmap words
-/// merged with atomic ORs, or CAS hash inserts; keys must be unique, and
-/// >= 0 for the hash form). A table built with `reads_payload` false may
-/// be a bitmap, which reports each match's probe key as its payload.
+/// representation of `domain` (which must be those columns' ranges, with
+/// span() <= kMaxJoinSpan), with one parallel pass over the dimension
+/// (direct stores, bitmap words merged with atomic ORs; keys must be
+/// unique). A table built with `reads_payload` false is a bitmap, which
+/// reports each match's probe key as its payload.
 JoinTable BuildJoinTable(const int32_t* keys, const int32_t* payloads,
                          const JoinDomain& domain,
                          const std::function<bool(int64_t)>& pred,
                          bool reads_payload, ThreadPool& pool);
-
-/// Probe dispatch over the representations; contract of ProbeSelect /
-/// ProbeDirect (vector_ops.h).
-inline int ProbeJoinTable(const JoinTable& t, const int32_t* keys,
-                          const int32_t* sel, int m, int32_t* sel_out,
-                          int32_t* val_out, int32_t* pos_out) {
-  if (t.is_direct()) {
-    return ProbeDirect(t.direct(), keys, sel, m, sel_out, val_out, pos_out);
-  }
-  return ProbeSelect(*t.hash, keys, sel, m, sel_out, val_out, pos_out);
-}
 
 /// Cross-query cache of dimension build sides. The 13 SSB flights reuse a
 /// handful of distinct (table, build filter, payload) combinations — q2.x

@@ -22,10 +22,6 @@ class HashTable {
  public:
   explicit HashTable(int64_t expected_keys, double max_fill = 0.5);
 
-  /// Slot count the constructor allocates for these arguments (a power of
-  /// two), so size models can predict bytes() without building.
-  static int64_t SlotsFor(int64_t expected_keys, double max_fill);
-
   /// Movable (builders return tables by value); the atomic insert counter
   /// requires spelling the move out. Not concurrency-safe against in-flight
   /// inserts, like any move.
@@ -68,6 +64,10 @@ class HashTable {
   }
 
  private:
+  /// Slot count the constructor allocates for these arguments (a power of
+  /// two).
+  static int64_t SlotsFor(int64_t expected_keys, double max_fill);
+
   AlignedVector<uint64_t> slots_;
   uint32_t mask_;
   /// Insert count; bumped by every Insert (possibly from many threads).

@@ -68,48 +68,6 @@ int RefineRangeScalar(const int32_t* col, const int32_t* sel, int m,
   return w;
 }
 
-// Group prefetching (Chen et al.): hash a group of keys and issue software
-// prefetches for their first slots, then probe the group while the lines are
-// in flight. This is the paper's "CPU Prefetch" idiom applied to the
-// selection-vector pipeline.
-constexpr int kPrefetchGroup = 64;
-
-int ProbeSelectScalar(const HashTable& ht, const int32_t* keys,
-                      const int32_t* sel, int m, int32_t* sel_out,
-                      int32_t* val_out, int32_t* pos_out) {
-  const uint64_t* slots = ht.slots();
-  const uint32_t mask = ht.mask();
-  uint32_t slot[kPrefetchGroup];
-  int w = 0;
-  for (int g = 0; g < m; g += kPrefetchGroup) {
-    const int gn = m - g < kPrefetchGroup ? m - g : kPrefetchGroup;
-    for (int j = 0; j < gn; ++j) {
-      const int32_t row = sel != nullptr ? sel[g + j] : g + j;
-      slot[j] = HashMurmur32(static_cast<uint32_t>(keys[row])) & mask;
-      __builtin_prefetch(&slots[slot[j]], 0 /*read*/, 1 /*low locality*/);
-    }
-    for (int j = 0; j < gn; ++j) {
-      const int32_t row = sel != nullptr ? sel[g + j] : g + j;
-      const int32_t key = keys[row];
-      uint32_t s = slot[j];
-      // Terminates at an empty slot: HashTable keeps one slot always empty.
-      for (;;) {
-        const uint64_t e = slots[s];
-        if (HashTable::SlotEmpty(e)) break;
-        if (HashTable::SlotKey(e) == key) {
-          sel_out[w] = row;
-          if (val_out != nullptr) val_out[w] = HashTable::SlotValue(e);
-          if (pos_out != nullptr) pos_out[w] = g + j;
-          ++w;
-          break;
-        }
-        s = (s + 1) & mask;
-      }
-    }
-  }
-  return w;
-}
-
 /// The `W`-byte little-endian slot `off` of a direct payload array.
 template <int W>
 inline int32_t LoadSlot(const uint8_t* payload, int64_t off) {
@@ -262,15 +220,6 @@ int RefineRange(const int32_t* col, const int32_t* sel, int m, int32_t lo,
   if (SimdEnabled())
     return internal::RefineRangeAvx2(col, sel, m, lo, hi, sel_out);
   return RefineRangeScalar(col, sel, m, lo, hi, sel_out);
-}
-
-int ProbeSelect(const HashTable& ht, const int32_t* keys, const int32_t* sel,
-                int m, int32_t* sel_out, int32_t* val_out, int32_t* pos_out) {
-  if (SimdEnabled()) {
-    return internal::ProbeSelectAvx2(ht, keys, sel, m, sel_out, val_out,
-                                     pos_out);
-  }
-  return ProbeSelectScalar(ht, keys, sel, m, sel_out, val_out, pos_out);
 }
 
 int ProbeDirect(const DirectTable& table, const int32_t* keys,

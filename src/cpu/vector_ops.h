@@ -4,20 +4,19 @@
 #include <cstdint>
 
 #include "common/bitutil.h"
-#include "cpu/hash_join.h"
 
 namespace crystal::cpu {
 
 /// Vector-at-a-time primitives for the paper's CPU execution model
 /// (Section 3.2): predicate evaluation into compacted selection vectors and
-/// hash-probe-with-selection, over vectors of at most a few thousand rows.
+/// direct-address probe-with-selection, over vectors of at most a few
+/// thousand rows.
 ///
 /// Every primitive has two implementations behind one entry point:
-///  * an AVX2 fast path (compare + movemask + permutation-table compaction
-///    for predicates, Polychroniou-style vertical gather probing for joins),
-///    compiled in a dedicated -mavx2 translation unit;
-///  * a portable scalar path (branch-free predication, Chen-style group
-///    prefetching for probes).
+///  * an AVX2 fast path (compare + movemask + permutation-table compaction,
+///    bounds-masked gathers for probes), compiled in a dedicated -mavx2
+///    translation unit;
+///  * a portable scalar path (branch-free predication).
 /// Dispatch is checked at runtime (cpuid), so binaries built with the AVX2
 /// unit still run — and return bit-identical results — on any x86-64 host.
 /// Setting CRYSTAL_SIMD=0 in the environment (or SetSimdEnabled(false))
@@ -54,15 +53,6 @@ int SelectRange(const int32_t* col, int n, int32_t lo, int32_t hi,
 int RefineRange(const int32_t* col, const int32_t* sel, int m, int32_t lo,
                 int32_t hi, int32_t* sel_out);
 
-/// Hash-probe with selection: probes `ht` for keys[sel[i]] (or keys[i] when
-/// sel == nullptr, the first pipeline stage) for i in [0, m). For each match,
-/// writes the surviving row index to sel_out, the matched payload to
-/// val_out (optional), and the input position i to pos_out (optional; used
-/// to compact vectors carried from earlier pipeline stages). Returns the
-/// match count. sel_out may alias sel.
-int ProbeSelect(const HashTable& ht, const int32_t* keys, const int32_t* sel,
-                int m, int32_t* sel_out, int32_t* val_out, int32_t* pos_out);
-
 /// Absent-slot sentinel of a `width`-byte payload array (1, 2 or 4)
 /// without a presence bitmap, as the probe reads it back: all ones for the
 /// narrow widths, INT32_MIN for 4 bytes. Such an array is only built when
@@ -90,22 +80,25 @@ struct DirectTable {
   const uint32_t* bits = nullptr;
   const uint8_t* payload = nullptr;
   int width = 4;
-  int64_t span = 0;  // < 2^31
+  int64_t span = 0;  // <= INT32_MAX: slot offsets are int32 lanes
   int32_t base = 0;
 };
 
-/// Direct-address probe with selection, same contract as ProbeSelect:
-/// probes keys[sel[i]] (or keys[i] when sel == nullptr) for i in [0, m),
-/// emits surviving row indices / payloads / input positions, returns the
-/// match count. The AVX2 path is one bounds-masked 8-lane gather per
-/// vector (scale 1, 2 or 4 on payload arrays, a word gather plus a
-/// variable shift on bitmaps) and no branch on the data; the two-level
-/// form gathers payloads in a second pass over the survivors only.
+/// Direct-address probe with selection: probes `table` for keys[sel[i]]
+/// (or keys[i] when sel == nullptr, the first pipeline stage) for i in
+/// [0, m). For each match, writes the surviving row index to sel_out, the
+/// matched payload to val_out (optional), and the input position i to
+/// pos_out (optional; used to compact vectors carried from earlier
+/// pipeline stages). Returns the match count. sel_out may alias sel.
+/// The AVX2 path is one bounds-masked 8-lane gather per vector (scale 1,
+/// 2 or 4 on payload arrays, a word gather plus a variable shift on
+/// bitmaps) and no branch on the data; the two-level form gathers
+/// payloads in a second pass over the survivors only.
 int ProbeDirect(const DirectTable& table, const int32_t* keys,
                 const int32_t* sel, int m, int32_t* sel_out,
                 int32_t* val_out, int32_t* pos_out);
 
-/// Compacts a carried vector through the positions a ProbeSelect emitted:
+/// Compacts a carried vector through the positions a ProbeDirect emitted:
 /// v[j] = v[pos[j]] for j in [0, m). Safe in place because pos is strictly
 /// increasing with pos[j] >= j.
 void CompactInPlace(int32_t* v, const int32_t* pos, int m);

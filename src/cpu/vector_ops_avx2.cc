@@ -23,42 +23,12 @@ namespace crystal::cpu::internal {
 
 namespace {
 
-/// 8-lane MurmurHash3 finalizer; bit-identical to HashMurmur32.
-inline __m256i Murmur8(__m256i k) {
-  k = _mm256_xor_si256(k, _mm256_srli_epi32(k, 16));
-  k = _mm256_mullo_epi32(k, _mm256_set1_epi32(0x85ebca6b));
-  k = _mm256_xor_si256(k, _mm256_srli_epi32(k, 13));
-  k = _mm256_mullo_epi32(k, _mm256_set1_epi32(0xc2b2ae35));
-  k = _mm256_xor_si256(k, _mm256_srli_epi32(k, 16));
-  return k;
-}
-
 /// All-ones in the lanes where lo <= x <= hi (signed; no overflow tricks).
 inline __m256i InRange(__m256i x, __m256i lo, __m256i hi) {
   const __m256i below = _mm256_cmpgt_epi32(lo, x);
   const __m256i above = _mm256_cmpgt_epi32(x, hi);
   return _mm256_andnot_si256(_mm256_or_si256(below, above),
                              _mm256_set1_epi32(-1));
-}
-
-/// Fetches 8 hash-table slots with two 4x64-bit gathers and deinterleaves
-/// them into a (key+1) vector and a value vector (the extra gather +
-/// deinterleave is exactly the overhead Section 4.3 charges to CPU SIMD).
-inline void GatherSlots(const uint64_t* slots, __m256i slot_idx,
-                        __m256i* key_plus, __m256i* value) {
-  const __m256i lo4 = _mm256_i32gather_epi64(
-      reinterpret_cast<const long long*>(slots),
-      _mm256_castsi256_si128(slot_idx), 8);
-  const __m256i hi4 = _mm256_i32gather_epi64(
-      reinterpret_cast<const long long*>(slots),
-      _mm256_extracti128_si256(slot_idx, 1), 8);
-  // A slot is (key+1) << 32 | value, so 32-bit lanes alternate value, key+1.
-  const __m256i even = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-  const __m256i odd = _mm256_setr_epi32(1, 3, 5, 7, 1, 3, 5, 7);
-  *value = _mm256_blend_epi32(_mm256_permutevar8x32_epi32(lo4, even),
-                              _mm256_permutevar8x32_epi32(hi4, even), 0xF0);
-  *key_plus = _mm256_blend_epi32(_mm256_permutevar8x32_epi32(lo4, odd),
-                                 _mm256_permutevar8x32_epi32(hi4, odd), 0xF0);
 }
 
 // Not a namespace-scope constant: that would execute AVX instructions in a
@@ -137,78 +107,6 @@ int RefineRangeAvx2(const int32_t* col, const int32_t* sel, int m, int32_t lo,
     const int32_t v = col[sel[i]];
     sel_out[w] = sel[i];
     w += (v >= lo && v <= hi) ? 1 : 0;
-  }
-  return w;
-}
-
-int ProbeSelectAvx2(const HashTable& ht, const int32_t* keys,
-                    const int32_t* sel, int m, int32_t* sel_out,
-                    int32_t* val_out, int32_t* pos_out) {
-  const PermTable& pt = GetPermTable();
-  const uint64_t* slots = ht.slots();
-  const __m256i vmask = _mm256_set1_epi32(static_cast<int32_t>(ht.mask()));
-  const __m256i one = _mm256_set1_epi32(1);
-  const __m256i zero = _mm256_setzero_si256();
-  int w = 0;
-  int i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m256i pos8 = _mm256_add_epi32(Iota(), _mm256_set1_epi32(i));
-    const __m256i idx =
-        sel != nullptr
-            ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sel + i))
-            : pos8;
-    const __m256i k =
-        sel != nullptr
-            ? _mm256_i32gather_epi32(keys, idx, 4)
-            : _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    const __m256i k_plus = _mm256_add_epi32(k, one);  // slots store key+1
-    __m256i slot = _mm256_and_si256(Murmur8(k), vmask);
-    __m256i found = zero;
-    __m256i payload = zero;
-    __m256i active = _mm256_set1_epi32(-1);
-    // Vertical probe: all 8 lanes walk their chains in lockstep; a lane
-    // retires on match or empty slot (one slot is always empty, so every
-    // miss terminates). Most lanes retire on the first gather.
-    for (;;) {
-      __m256i slot_key_plus, slot_value;
-      GatherSlots(slots, slot, &slot_key_plus, &slot_value);
-      const __m256i match = _mm256_cmpeq_epi32(slot_key_plus, k_plus);
-      const __m256i empty = _mm256_cmpeq_epi32(slot_key_plus, zero);
-      // Empty wins over match: a probe key of -1 encodes to k_plus == 0,
-      // which would otherwise "match" every empty slot — the scalar path
-      // (and HashTable::Lookup) tests SlotEmpty first, so mirror it.
-      const __m256i hit =
-          _mm256_and_si256(_mm256_andnot_si256(empty, match), active);
-      found = _mm256_or_si256(found, hit);
-      payload = _mm256_blendv_epi8(payload, slot_value, hit);
-      active = _mm256_andnot_si256(_mm256_or_si256(match, empty), active);
-      if (_mm256_testz_si256(active, active)) break;
-      slot = _mm256_and_si256(_mm256_add_epi32(slot, one), vmask);
-    }
-    const int mask8 = _mm256_movemask_ps(_mm256_castsi256_ps(found));
-    const __m256i perm =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(pt.idx[mask8]));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sel_out + w),
-                        _mm256_permutevar8x32_epi32(idx, perm));
-    if (val_out != nullptr) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(val_out + w),
-                          _mm256_permutevar8x32_epi32(payload, perm));
-    }
-    if (pos_out != nullptr) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(pos_out + w),
-                          _mm256_permutevar8x32_epi32(pos8, perm));
-    }
-    w += __builtin_popcount(static_cast<unsigned>(mask8));
-  }
-  for (; i < m; ++i) {
-    const int32_t row = sel != nullptr ? sel[i] : i;
-    int32_t value;
-    if (ht.Lookup(keys[row], &value)) {
-      sel_out[w] = row;
-      if (val_out != nullptr) val_out[w] = value;
-      if (pos_out != nullptr) pos_out[w] = i;
-      ++w;
-    }
   }
   return w;
 }
@@ -837,11 +735,6 @@ int SelectRangeAvx2(const int32_t*, int, int32_t, int32_t, int32_t*) {
 }
 int RefineRangeAvx2(const int32_t*, const int32_t*, int, int32_t, int32_t,
                     int32_t*) {
-  CRYSTAL_CHECK_MSG(false, "AVX2 kernels not compiled in");
-  return 0;
-}
-int ProbeSelectAvx2(const HashTable&, const int32_t*, const int32_t*, int,
-                    int32_t*, int32_t*, int32_t*) {
   CRYSTAL_CHECK_MSG(false, "AVX2 kernels not compiled in");
   return 0;
 }

@@ -40,9 +40,6 @@ int SelectRangeAvx2(const int32_t* col, int n, int32_t lo, int32_t hi,
                     int32_t* sel);
 int RefineRangeAvx2(const int32_t* col, const int32_t* sel, int m, int32_t lo,
                     int32_t hi, int32_t* sel_out);
-int ProbeSelectAvx2(const HashTable& ht, const int32_t* keys,
-                    const int32_t* sel, int m, int32_t* sel_out,
-                    int32_t* val_out, int32_t* pos_out);
 int ProbeDirectAvx2(const DirectTable& table, const int32_t* keys,
                     const int32_t* sel, int m, int32_t* sel_out,
                     int32_t* val_out, int32_t* pos_out);

@@ -28,7 +28,7 @@ struct BuildFootprint {
 /// slots plus the aggregate program's scratch for the aggregation state,
 /// and cpu::PlanJoinLayout — the rule cpu::BuildJoinTable builds by — for
 /// each build side, so a build side's prediction is its exact size
-/// (bitmap, narrowed payload array, two-level, or hash). The aggregation
+/// (bitmap, narrowed payload array, or two-level). The aggregation
 /// estimate is deliberately conservative — sparse-table occupancy is
 /// bounded, not sampled — because admission control treats it as a
 /// claim, and an over-claim degrades throughput while an under-claim

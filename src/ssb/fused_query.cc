@@ -244,10 +244,11 @@ struct FusedQuery::Impl {
 
   /// Build phase: fetch every probe's build side from the process-wide
   /// cache; only combinations never seen for this database generation are
-  /// actually built (one parallel filtered pass each). A failed build
-  /// fails the whole query setup.
-  Status FetchTables(const Database& db, ThreadPool& build_pool,
-                     BuildStats* stats) {
+  /// actually built (one parallel filtered pass each). A failed build, or
+  /// a dimension whose key domain is wider than cpu::kMaxJoinSpan, fails
+  /// the whole query setup.
+  Status FetchTables(const query::QuerySpec& spec, const Database& db,
+                     ThreadPool& build_pool, BuildStats* stats) {
     BuildStats local_stats;
     if (stats == nullptr) stats = &local_stats;
     const std::string generation = query::GenerationKey(db);
@@ -256,14 +257,23 @@ struct FusedQuery::Impl {
     for (const query::ProbeStage& probe : pipe.probes) {
       const query::BoundJoin& join =
           pipe.bound[static_cast<size_t>(probe.join_index)];
+      const cpu::JoinDomain domain{join.dim_rows, join.key_range,
+                                   join.payload_range};
+      if (domain.span() > cpu::kMaxJoinSpan) {
+        return InvalidArgumentError(
+            std::string(query::DimTableName(
+                spec.joins[static_cast<size_t>(probe.join_index)].table)) +
+            " key domain spans " + std::to_string(domain.span()) +
+            " slots, more than a build side addresses (" +
+            std::to_string(cpu::kMaxJoinSpan) + ")");
+      }
       bool hit = false;
       StatusOr<std::shared_ptr<const cpu::JoinTable>> table =
           cpu::BuildCache::Process().GetOrBuild(
               generation, probe.cache_key,
-              [&join, &probe, &build_pool] {
+              [&join, &probe, &domain, &build_pool] {
                 return cpu::BuildJoinTable(
-                    join.keys->data(), join.payload->data(),
-                    {join.dim_rows, join.key_range, join.payload_range},
+                    join.keys->data(), join.payload->data(), domain,
                     [&join](int64_t i) {
                       return join.RowPasses(static_cast<size_t>(i));
                     },
@@ -415,7 +425,8 @@ StatusOr<std::unique_ptr<FusedQuery>> FusedQuery::Create(
   } catch (const std::bad_alloc&) {
     return ResourceExhaustedError("query setup allocation failed");
   }
-  CRYSTAL_RETURN_IF_ERROR(fused->impl_->FetchTables(db, build_pool, stats));
+  CRYSTAL_RETURN_IF_ERROR(
+      fused->impl_->FetchTables(spec, db, build_pool, stats));
   return fused;
 }
 
@@ -515,10 +526,10 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
       return buf;
     };
     // Probe cascade on the selection vector; each stage is a batched
-    // lookup — one bounds-masked gather per 8 keys on direct tables
-    // (bitmap, narrow payload array, or bitmap then a survivor-only
-    // payload gather), vertical-vectorized hash probing otherwise — whose
-    // pos output compacts the group keys carried from earlier stages.
+    // lookup — one bounds-masked gather per 8 keys (bitmap, narrow
+    // payload array, or bitmap then a survivor-only payload gather) —
+    // whose pos output compacts the group keys carried from earlier
+    // stages.
     int carried = 0;
     int carried_slots[3];
     for (size_t p = 0; p < pipe.probes.size(); ++p) {
@@ -527,8 +538,9 @@ Status FusedQuery::Impl::Run(int t, int64_t begin, int64_t end) {
       int32_t* val_out =
           probe.group_slot >= 0 ? group[probe.group_slot] : nullptr;
       int32_t* pos_out = carried > 0 ? pos : nullptr;
-      m = cpu::ProbeJoinTable(*s.tables[p], keys, have_sel ? sel : nullptr,
-                              m, sel, val_out, pos_out);
+      m = cpu::ProbeDirect(s.tables[p]->direct(), keys,
+                           have_sel ? sel : nullptr, m, sel, val_out,
+                           pos_out);
       have_sel = true;
       for (int c = 0; c < carried && pos_out != nullptr; ++c) {
         cpu::CompactInPlace(group[carried_slots[c]], pos, m);

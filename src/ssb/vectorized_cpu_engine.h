@@ -26,8 +26,8 @@ namespace crystal::ssb {
 /// single-query driver around it.
 ///
 /// Build sides come from the process-wide cpu::BuildCache: dimension
-/// tables (direct-address when the key domain is compact — all SSB
-/// dimensions, sized by cpu::PlanJoinLayout — hash otherwise) are built
+/// tables (direct-address bitmaps or payload arrays over the key domain,
+/// sized by cpu::PlanJoinLayout) are built
 /// once per database generation and shared read-only across queries,
 /// repeats, and engines, so back-to-back Execute() calls pay
 /// probe+aggregate cost only.

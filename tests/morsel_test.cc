@@ -2,15 +2,20 @@
 // engine. The fused pipeline must produce bit-identical results to the
 // tuple-at-a-time reference regardless of how the fact table is cut into
 // morsels (size 1, odd sizes, non-multiple-of-8 tails, morsels larger than
-// the table), how many threads claim them, which SIMD dispatch path runs,
-// and which build-side representation (direct-address vs hash) the join
-// tables use. The build cache must serve repeated and overlapping specs
-// without ever mixing up build sides that differ only in their filters.
+// the table), how many threads claim them, and which SIMD dispatch path
+// runs. Every build-side representation (bitmap, narrow payload array,
+// two-level) must probe like a map holding the same pairs. The build cache
+// must serve repeated and overlapping specs without ever mixing up build
+// sides that differ only in their filters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
 #include <memory>
 #include <new>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/fault.h"
@@ -115,28 +120,24 @@ TEST(AggProgramTest, MaxNodesSpecIsAtTheExpressionCap) {
             static_cast<size_t>(query::kMaxExprNodes));
 }
 
-/// Restores SIMD + direct-join dispatch state (and drops cached tables
-/// built under a scoped representation) when a test section ends.
+/// Restores the SIMD dispatch state (and drops cached tables built under
+/// a scoped configuration) when a test section ends.
 class DispatchGuard {
  public:
-  DispatchGuard()
-      : simd_(cpu::SimdEnabled()), direct_(cpu::DirectJoinEnabled()) {}
+  DispatchGuard() : simd_(cpu::SimdEnabled()) {}
   ~DispatchGuard() {
     cpu::SetSimdEnabled(simd_);
-    cpu::SetDirectJoinEnabled(direct_);
     cpu::BuildCache::Process().Clear();
   }
 
  private:
   bool simd_;
-  bool direct_;
 };
 
 struct ParityParam {
   int64_t morsel;
   int threads;
   bool simd;
-  bool direct_join;
 };
 
 class MorselParityTest : public testing::TestWithParam<ParityParam> {};
@@ -147,9 +148,8 @@ TEST_P(MorselParityTest, MatchesReference) {
 
   DispatchGuard guard;
   cpu::SetSimdEnabled(p.simd);
-  cpu::SetDirectJoinEnabled(p.direct_join);
-  // Representation/dispatch toggles apply to future builds only; drop
-  // tables built by earlier tests so this configuration builds its own.
+  // Drop tables built by earlier tests so this configuration builds its
+  // own.
   cpu::BuildCache::Process().Clear();
 
   ThreadPool pool(p.threads);
@@ -160,7 +160,7 @@ TEST_P(MorselParityTest, MatchesReference) {
     const QueryResult got = engine.Run(spec);
     EXPECT_TRUE(got == want)
         << spec.name << " morsel=" << p.morsel << " threads=" << p.threads
-        << " simd=" << p.simd << " direct=" << p.direct_join << ": got "
+        << " simd=" << p.simd << ": got "
         << got.ToString() << " want " << want.ToString();
   }
 }
@@ -168,8 +168,7 @@ TEST_P(MorselParityTest, MatchesReference) {
 std::string ParityName(const testing::TestParamInfo<ParityParam>& info) {
   const ParityParam& p = info.param;
   return "morsel" + std::to_string(p.morsel) + "_t" +
-         std::to_string(p.threads) + (p.simd ? "_simd" : "_scalar") +
-         (p.direct_join ? "_direct" : "_hash");
+         std::to_string(p.threads) + (p.simd ? "_simd" : "_scalar");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -179,23 +178,18 @@ INSTANTIATE_TEST_SUITE_P(
         // (every row its own morsel), 7 (odd, smaller than a vector), 999
         // (non-multiple-of-8 tail in every morsel), 4096 (vector multiple),
         // and one morsel spanning the whole table.
-        {1, 1, true, true},
-        {7, 1, true, true},
-        {999, 1, true, true},
-        {4096, 1, true, true},
-        {1 << 20, 1, true, true},
-        {1, 1, false, true},
-        {999, 1, false, true},
-        {4096, 1, false, true},
+        {1, 1, true},
+        {7, 1, true},
+        {999, 1, true},
+        {4096, 1, true},
+        {1 << 20, 1, true},
+        {1, 1, false},
+        {999, 1, false},
+        {4096, 1, false},
         // Multi-threaded claiming, both dispatch paths.
-        {999, 3, true, true},
-        {4096, 3, true, true},
-        {4096, 3, false, true},
-        // Hash-table build sides (direct addressing disabled) must agree
-        // everywhere too.
-        {999, 1, true, false},
-        {4096, 3, true, false},
-        {999, 1, false, false},
+        {999, 3, true},
+        {4096, 3, true},
+        {4096, 3, false},
     }),
     ParityName);
 
@@ -881,11 +875,24 @@ TEST(AggProgramTest, SharedColumnsAndSubexpressionsLowerOnce) {
   EXPECT_TRUE(folded.agg.const_overflow);
 }
 
-/// Probes `a` and `b` with the same keys through every kernel path, both
-/// as a first stage (no selection vector) and on a selection vector with
-/// carried positions, and expects identical sel/val/pos.
-void ExpectSameProbes(const cpu::JoinTable& a, const cpu::JoinTable& b,
-                      const int32_t* keys, int n) {
+using PairMap = std::unordered_map<int32_t, int32_t>;
+
+/// keys[i] -> payloads[i] for the i in [0, n) where pred(i) holds.
+PairMap MapOf(const int32_t* keys, const int32_t* payloads, int64_t n,
+              const std::function<bool(int64_t)>& pred) {
+  PairMap map;
+  for (int64_t i = 0; i < n; ++i) {
+    if (pred(i)) map.emplace(keys[i], payloads[i]);
+  }
+  return map;
+}
+
+/// Probes `table` with keys[0, n) through every kernel path, both as a
+/// first stage (no selection vector) and on a selection vector with
+/// carried positions, and expects exactly the sel/val/pos a lookup in
+/// `map` (the same key -> payload pairs) gives.
+void ExpectProbesMatch(const cpu::JoinTable& table, const PairMap& map,
+                       const int32_t* keys, int n) {
   std::vector<int32_t> in_sel;
   for (int i = 0; i < n; i += 3) in_sel.push_back(i);
   for (bool simd : {false, true}) {
@@ -894,17 +901,25 @@ void ExpectSameProbes(const cpu::JoinTable& a, const cpu::JoinTable& b,
     for (bool with_sel : {false, true}) {
       const int m = with_sel ? static_cast<int>(in_sel.size()) : n;
       const int32_t* sel = with_sel ? in_sel.data() : nullptr;
-      std::vector<int32_t> sel_a(n), val_a(n), pos_a(n);
-      std::vector<int32_t> sel_b(n), val_b(n), pos_b(n);
-      const int ma = cpu::ProbeJoinTable(a, keys, sel, m, sel_a.data(),
-                                         val_a.data(), pos_a.data());
-      const int mb = cpu::ProbeJoinTable(b, keys, sel, m, sel_b.data(),
-                                         val_b.data(), pos_b.data());
-      ASSERT_EQ(ma, mb) << "simd=" << simd << " sel=" << with_sel;
-      for (int i = 0; i < ma; ++i) {
-        ASSERT_EQ(sel_a[i], sel_b[i]) << i;
-        ASSERT_EQ(val_a[i], val_b[i]) << i;
-        ASSERT_EQ(pos_a[i], pos_b[i]) << i;
+      std::vector<int32_t> want_sel, want_val, want_pos;
+      for (int i = 0; i < m; ++i) {
+        const int32_t row = sel != nullptr ? sel[i] : i;
+        const auto it = map.find(keys[row]);
+        if (it == map.end()) continue;
+        want_sel.push_back(row);
+        want_val.push_back(it->second);
+        want_pos.push_back(i);
+      }
+      std::vector<int32_t> got_sel(n + 8), got_val(n + 8), got_pos(n + 8);
+      const int got =
+          cpu::ProbeDirect(table.direct(), keys, sel, m, got_sel.data(),
+                           got_val.data(), got_pos.data());
+      ASSERT_EQ(got, static_cast<int>(want_sel.size()))
+          << "simd=" << simd << " sel=" << with_sel;
+      for (int i = 0; i < got; ++i) {
+        ASSERT_EQ(got_sel[i], want_sel[i]) << i;
+        ASSERT_EQ(got_val[i], want_val[i]) << i;
+        ASSERT_EQ(got_pos[i], want_pos[i]) << i;
       }
     }
   }
@@ -916,11 +931,11 @@ cpu::JoinDomain DomainOf(const int32_t* keys, const int32_t* payloads,
   return {n, ScanRange(keys, n), ScanRange(payloads, n)};
 }
 
-TEST(BuildJoinTableTest, DirectAndHashRepresentationsAgree) {
-  // Build every representation of one filtered build side directly and
-  // probe them with every kernel path; they must emit identical matches.
-  // At SF=1 part's brand payload is a 400 KB uint16 array and its
-  // filter-only side a 25 KB bitmap.
+TEST(BuildJoinTableTest, RepresentationsMatchAMapReference) {
+  // Build both representations of one filtered build side directly and
+  // probe them with every kernel path; they must emit exactly the matches
+  // of a map over the same rows. At SF=1 part's brand payload is a 400 KB
+  // uint16 array and its filter-only side a 25 KB bitmap.
   DispatchGuard guard;
   ThreadPool pool(2);
   const Database& db = TestDb();
@@ -932,32 +947,25 @@ TEST(BuildJoinTableTest, DirectAndHashRepresentationsAgree) {
         reads_payload ? db.p.brand1.data() : db.p.partkey.data();
     const cpu::JoinDomain domain =
         DomainOf(db.p.partkey.data(), payloads, db.p.rows);
-    cpu::SetDirectJoinEnabled(true);
-    const cpu::JoinTable direct =
+    const cpu::JoinTable table =
         cpu::BuildJoinTable(db.p.partkey.data(), payloads, domain, pred,
                             reads_payload, pool);
-    ASSERT_TRUE(direct.is_direct());
-    EXPECT_EQ(direct.layout.form, reads_payload ? cpu::JoinForm::kPayload
-                                                : cpu::JoinForm::kBitmap);
+    EXPECT_EQ(table.layout.form, reads_payload ? cpu::JoinForm::kPayload
+                                               : cpu::JoinForm::kBitmap);
     if (reads_payload) {
-      EXPECT_EQ(direct.layout.width, 2);
+      EXPECT_EQ(table.layout.width, 2);
     }
-    EXPECT_EQ(direct.bytes(), direct.layout.bytes());
-
-    cpu::SetDirectJoinEnabled(false);
-    const cpu::JoinTable hash =
-        cpu::BuildJoinTable(db.p.partkey.data(), payloads, domain, pred,
-                            reads_payload, pool);
-    ASSERT_FALSE(hash.is_direct());
-    EXPECT_EQ(hash.bytes(), hash.layout.bytes());
-    ExpectSameProbes(direct, hash, db.lo.partkey.data(), 1024);
+    EXPECT_EQ(table.bytes(), table.layout.bytes());
+    ExpectProbesMatch(table,
+                      MapOf(db.p.partkey.data(), payloads, db.p.rows, pred),
+                      db.lo.partkey.data(), 1024);
   }
 }
 
 TEST(BuildJoinTableTest, Int32MinPayloadTakesTheTwoLevelForm) {
   // A legal INT32_MIN payload leaves an int32 array no free sentinel: the
   // build goes two-level (the bitmap decides membership) instead of
-  // aborting, and probes exactly like the hash representation.
+  // aborting, and probes exactly like a map over the same rows.
   DispatchGuard guard;
   ThreadPool pool(2);
   const int64_t n = 5000;
@@ -969,31 +977,24 @@ TEST(BuildJoinTableTest, Int32MinPayloadTakesTheTwoLevelForm) {
                                : -static_cast<int32_t>(i);
   }
   const auto pred = [](int64_t i) { return i % 5 != 0; };
-  cpu::SetDirectJoinEnabled(true);
   const cpu::JoinDomain domain = DomainOf(keys.data(), payloads.data(), n);
-  const cpu::JoinTable direct = cpu::BuildJoinTable(
+  const cpu::JoinTable table = cpu::BuildJoinTable(
       keys.data(), payloads.data(), domain, pred, /*reads_payload=*/true,
       pool);
-  EXPECT_EQ(direct.layout.form, cpu::JoinForm::kTwoLevel);
-  EXPECT_EQ(direct.layout.width, 4);
-  cpu::SetDirectJoinEnabled(false);
-  const cpu::JoinTable hash = cpu::BuildJoinTable(
-      keys.data(), payloads.data(), domain, pred, /*reads_payload=*/true,
-      pool);
-  ASSERT_FALSE(hash.is_direct());
+  EXPECT_EQ(table.layout.form, cpu::JoinForm::kTwoLevel);
+  EXPECT_EQ(table.layout.width, 4);
 
   // Probe keys below, inside and past the domain, negative ones included.
   std::vector<int32_t> probe;
   for (int32_t k = -40; k < 100 + n + 40; k += 3) probe.push_back(k);
   probe.push_back(INT32_MIN);
   probe.push_back(INT32_MAX);
-  ExpectSameProbes(direct, hash, probe.data(),
-                   static_cast<int>(probe.size()));
+  ExpectProbesMatch(table, MapOf(keys.data(), payloads.data(), n, pred),
+                    probe.data(), static_cast<int>(probe.size()));
 }
 
 TEST(BuildJoinTableTest, LayoutPicksTheNarrowestSentinelFreeWidth) {
   DispatchGuard guard;
-  cpu::SetDirectJoinEnabled(true);
   const int64_t n = 1000;
   std::vector<int32_t> keys(n), payloads(n, 0);
   for (int64_t i = 0; i < n; ++i) keys[i] = static_cast<int32_t>(i + 1);
@@ -1028,6 +1029,49 @@ TEST(BuildJoinTableTest, LayoutPicksTheNarrowestSentinelFreeWidth) {
       DomainOf(big_keys.data(), big_payloads.data(), big - 1), true);
   EXPECT_EQ(one.form, cpu::JoinForm::kPayload);
   EXPECT_EQ(one.bytes(), (big - 1) * 2 + 2);
+
+  // An empty domain plans zero bytes for either probe, and a table built
+  // over it misses every key on both paths.
+  ThreadPool pool(1);
+  const std::vector<int32_t> probe = {-1, 0, 1, 2, INT32_MIN, INT32_MAX,
+                                      5,  6, 7, 8, 9,         10};
+  for (bool reads_payload : {true, false}) {
+    EXPECT_EQ(cpu::PlanJoinLayout({}, reads_payload).bytes(), 0);
+    const cpu::JoinTable empty = cpu::BuildJoinTable(
+        keys.data(), payloads.data(), {}, [](int64_t) { return true; },
+        reads_payload, pool);
+    EXPECT_EQ(empty.bytes(), 0);
+    ExpectProbesMatch(empty, {}, probe.data(),
+                      static_cast<int>(probe.size()));
+  }
+}
+
+TEST(BuildJoinTableTest, KeyDomainWiderThanMaxJoinSpanIsRejected) {
+  // A customer key range of [0, INT32_MAX] spans 2^31 slots, one more
+  // than a build side addresses: query setup fails with InvalidArgument
+  // before anything is built, while the footprint model still plans it.
+  DispatchGuard guard;
+  Database db = TestDb();
+  const std::array<const Column*, 16> cols = db.DimColumns();
+  const auto custkey = std::find(cols.begin(), cols.end(), &db.c.custkey);
+  ASSERT_NE(custkey, cols.end());
+  db.dim_ranges[static_cast<size_t>(custkey - cols.begin())] = {0, INT32_MAX};
+  const query::QuerySpec spec =
+      Adhoc("sum revenue join customer on custkey filter c_region = 1");
+
+  const query::FootprintEstimate est =
+      query::EstimateFootprint(query::LowerToPipeline(spec, db), 2);
+  EXPECT_EQ(est.build_bytes, (cpu::kMaxJoinSpan + 1) / 8);
+
+  const int64_t cached = cpu::BuildCache::Process().bytes();
+  ThreadPool pool(2);
+  StatusOr<std::unique_ptr<FusedQuery>> fused =
+      FusedQuery::Create(spec, db, 2, pool);
+  ASSERT_FALSE(fused.ok());
+  EXPECT_EQ(fused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(fused.status().ToString().find("customer"), std::string::npos)
+      << fused.status().ToString();
+  EXPECT_EQ(cpu::BuildCache::Process().bytes(), cached);
 }
 
 // ------------------------------------------------ SF=10 dimension tables
@@ -1054,7 +1098,6 @@ TEST(Sf10DimensionsTest, FootprintPredictsEveryBuiltTableExactly) {
   // build bytes are the bytes of the tables the engine actually builds —
   // the two-level part brand side included.
   DispatchGuard guard;
-  cpu::SetDirectJoinEnabled(true);
   const Database& db = Sf10Db(storage::Encoding::kPlain);
   ThreadPool pool(2);
   std::vector<query::QuerySpec> specs;
@@ -1095,7 +1138,6 @@ TEST_P(Sf10ParityTest, JoinFlightsMatchReference) {
   if (p.simd && !cpu::SimdAvailable()) GTEST_SKIP() << "no AVX2 host";
   DispatchGuard guard;
   cpu::SetSimdEnabled(p.simd);
-  cpu::SetDirectJoinEnabled(true);
   cpu::BuildCache::Process().Clear();
   const Database& db = Sf10Db(p.encoding);
   ThreadPool pool(2);
