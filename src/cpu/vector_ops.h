@@ -90,10 +90,11 @@ struct DirectTable {
 /// matched payload to val_out (optional), and the input position i to
 /// pos_out (optional; used to compact vectors carried from earlier
 /// pipeline stages). Returns the match count. sel_out may alias sel.
-/// The AVX2 path is one bounds-masked 8-lane gather per vector (scale 1,
-/// 2 or 4 on payload arrays, a word gather plus a variable shift on
-/// bitmaps) and no branch on the data; the two-level form gathers
-/// payloads in a second pass over the survivors only.
+/// The AVX2 path probes 8 lanes per vector with no branch on the data:
+/// with a selection it first gathers the keys through `sel`, then makes
+/// one bounds-masked table gather (scale 1, 2 or 4 on payload arrays, a
+/// word gather plus a variable shift on bitmaps); the two-level form
+/// gathers payloads in a second pass over the survivors only.
 int ProbeDirect(const DirectTable& table, const int32_t* keys,
                 const int32_t* sel, int m, int32_t* sel_out,
                 int32_t* val_out, int32_t* pos_out);

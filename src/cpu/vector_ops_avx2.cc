@@ -3,6 +3,13 @@
 // src/CMakeLists.txt), so AVX2 instructions cannot leak into the scalar
 // fallbacks via auto-vectorization; callers reach these kernels only through
 // the runtime-dispatched entry points in vector_ops.cc.
+//
+// Every gather goes through Gather32 / Gather64, never a bare
+// _mm256_i32gather_*. vpgather merges into its destination register, and
+// for the unmasked intrinsic the compiler may pick a register the previous
+// loop iteration wrote, so each 8-row group's gather would wait for the
+// last group's instead of overlapping with it. tools/check_gather_deps.py
+// (the gather_deps_crystal_cpu test) fails when a gather does that.
 #include "cpu/vector_ops_internal.h"
 
 #include <algorithm>
@@ -34,6 +41,31 @@ inline __m256i InRange(__m256i x, __m256i lo, __m256i hi) {
 // Not a namespace-scope constant: that would execute AVX instructions in a
 // static initializer, which must not happen on hosts without AVX2.
 inline __m256i Iota() { return _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7); }
+
+/// Gathers the 8 int32 lanes at byte offsets idx * kScale from `base`
+/// into a freshly zeroed destination. The empty asm statements hide the
+/// zero source and the all-ones mask from the compiler, which otherwise
+/// folds the masked form back into the unmasked one and merges into a
+/// register the previous loop iteration wrote: a dependency that
+/// serializes the gathers.
+template <int kScale>
+inline __m256i Gather32(const int* base, __m256i idx) {
+  __m256i src = _mm256_setzero_si256();
+  __m256i all = _mm256_set1_epi32(-1);
+  asm("" : "+x"(src));
+  asm("" : "+x"(all));
+  return _mm256_mask_i32gather_epi32(src, base, idx, all, kScale);
+}
+
+/// Gather32 for 4 int64 lanes indexed by 4 int32 offsets.
+template <int kScale>
+inline __m256i Gather64(const long long* base, __m128i idx) {
+  __m256i src = _mm256_setzero_si256();
+  __m256i all = _mm256_set1_epi64x(-1);
+  asm("" : "+x"(src));
+  asm("" : "+x"(all));
+  return _mm256_mask_i32gather_epi64(src, base, idx, all, kScale);
+}
 
 }  // namespace
 
@@ -98,7 +130,7 @@ int RefineRangeAvx2(const int32_t* col, const int32_t* sel, int m, int32_t lo,
   for (; i + 8 <= m; i += 8) {
     const __m256i idx =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sel + i));
-    const __m256i x = _mm256_i32gather_epi32(col, idx, 4);
+    const __m256i x = Gather32<4>(col, idx);
     const int mask =
         _mm256_movemask_ps(_mm256_castsi256_ps(InRange(x, vlo, vhi)));
     w += Compact8(pt, idx, mask, sel_out + w);
@@ -159,11 +191,11 @@ int ProbeDirectForm(const DirectTable& t, const int32_t* keys,
             : pos8;
     const __m256i k =
         sel != nullptr
-            ? _mm256_i32gather_epi32(keys, idx, 4)
+            ? Gather32<4>(keys, idx)
             : _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
     // 32-bit wrap cannot alias an out-of-domain key into [0, span): base +
-    // span - 1 is itself an int32. Lanes outside are zeroed so the
-    // unmasked gather stays in bounds, then dropped through the mask.
+    // span - 1 is itself an int32. Lanes outside are zeroed so every
+    // lane's gather stays in bounds, then dropped through the mask.
     const __m256i off = _mm256_sub_epi32(k, vbase);
     const __m256i in_range = InRange(off, vzero, vspan_m1);
     const __m256i safe_off = _mm256_and_si256(off, in_range);
@@ -171,14 +203,14 @@ int ProbeDirectForm(const DirectTable& t, const int32_t* keys,
     __m256i found = vzero;
     if constexpr (kBits) {
       const __m256i word =
-          _mm256_i32gather_epi32(bits, _mm256_srli_epi32(safe_off, 5), 4);
+          Gather32<4>(bits, _mm256_srli_epi32(safe_off, 5));
       const __m256i bit = _mm256_and_si256(
           _mm256_srlv_epi32(word, _mm256_and_si256(safe_off, v31)), vone);
       found = _mm256_and_si256(in_range, _mm256_cmpeq_epi32(bit, vone));
       // Two-level: carry the slot to the survivor-only payload pass.
       value = kPayload ? safe_off : k;
     } else {
-      value = _mm256_i32gather_epi32(payload, safe_off, W);
+      value = Gather32<W>(payload, safe_off);
       if constexpr (W < 4) value = _mm256_and_si256(value, vwidth);
       found = _mm256_andnot_si256(_mm256_cmpeq_epi32(value, vsentinel),
                                   in_range);
@@ -224,7 +256,7 @@ int ProbeDirectForm(const DirectTable& t, const int32_t* keys,
       for (; j + 8 <= w; j += 8) {
         const __m256i slot =
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(val_out + j));
-        __m256i v = _mm256_i32gather_epi32(payload, slot, W);
+        __m256i v = Gather32<W>(payload, slot);
         if constexpr (W < 4) v = _mm256_and_si256(v, vwidth);
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(val_out + j), v);
       }
@@ -412,18 +444,18 @@ inline bool CodeBounds(int bits, int32_t reference, int32_t lo, int32_t hi,
 
 /// Raw codes of 8 packed lanes whose bit offsets relative to `base` (the
 /// word holding the vector's first bit) are in `lane_bit`: gather the word
-/// pair around each field, funnel-shift, mask. The survivor path
-/// (UnpackAt, RefineRangePacked): srlv/sllv yield 0 for shift counts >= 32, so the sh == 0 straddle term
-/// vanishes without a branch, and the tail slack keeps the second gather
-/// in bounds on the last field.
+/// pair around each field, funnel-shift, mask. This is the survivor path
+/// of UnpackAt and RefineRangePacked. srlv/sllv yield 0 for shift counts
+/// >= 32, so the sh == 0 straddle term vanishes without a branch, and the
+/// tail slack keeps the second gather in bounds on the last field.
 inline __m256i Unpack8(const uint32_t* base, __m256i lane_bit,
                        __m256i vmask) {
   const __m256i w_idx = _mm256_srli_epi32(lane_bit, 5);
   const __m256i sh = _mm256_and_si256(lane_bit, _mm256_set1_epi32(31));
   const int* p = reinterpret_cast<const int*>(base);
-  const __m256i w0 = _mm256_i32gather_epi32(p, w_idx, 4);
-  const __m256i w1 = _mm256_i32gather_epi32(
-      p, _mm256_add_epi32(w_idx, _mm256_set1_epi32(1)), 4);
+  const __m256i w0 = Gather32<4>(p, w_idx);
+  const __m256i w1 =
+      Gather32<4>(p, _mm256_add_epi32(w_idx, _mm256_set1_epi32(1)));
   const __m256i low = _mm256_srlv_epi32(w0, sh);
   const __m256i high =
       _mm256_sllv_epi32(w1, _mm256_sub_epi32(_mm256_set1_epi32(32), sh));
@@ -581,8 +613,8 @@ void ProbeSumAvx2(const HashTable& ht, const int32_t* keys,
   const uint64_t* slots = ht.slots();
   const uint32_t mask = ht.mask();
   // Vertical vectorization state: 8 lanes, each owning an in-flight key.
-  // lane_slot is zero-initialized because the gathers below are unmasked:
-  // a dead lane (fewer than 8 rows in the partition) must gather the
+  // lane_slot is zero-initialized because every lane of the gathers below
+  // loads: a dead lane (fewer than 8 rows in the partition) must gather the
   // in-bounds slot 0, not a garbage index.
   alignas(32) int32_t lane_key[8];
   alignas(32) int32_t lane_val[8];
@@ -607,7 +639,9 @@ void ProbeSumAvx2(const HashTable& ht, const int32_t* keys,
     if (!any_live) break;
     // Two 4x64-bit gathers fetch the 8 lanes' slots (the extra gather +
     // deinterleave is exactly the overhead Section 4.3 blames for
-    // CPU SIMD losing to CPU Scalar).
+    // CPU SIMD losing to CPU Scalar). With fresh gather destinations it
+    // still loses on a 4-vCPU Xeon, one thread, 4M probes: ProbeSimd runs
+    // 1.1-1.7x ProbeScalar's time at 1K-64K build keys, 1.6-2.2x at 1M-16M.
     const __m128i idx_lo =
         _mm_load_si128(reinterpret_cast<const __m128i*>(lane_slot));
     const __m128i idx_hi =
@@ -615,12 +649,10 @@ void ProbeSumAvx2(const HashTable& ht, const int32_t* keys,
     alignas(32) uint64_t fetched[8];
     _mm256_store_si256(
         reinterpret_cast<__m256i*>(fetched),
-        _mm256_i32gather_epi64(reinterpret_cast<const long long*>(slots),
-                               idx_lo, 8));
+        Gather64<8>(reinterpret_cast<const long long*>(slots), idx_lo));
     _mm256_store_si256(
         reinterpret_cast<__m256i*>(fetched + 4),
-        _mm256_i32gather_epi64(reinterpret_cast<const long long*>(slots),
-                               idx_hi, 8));
+        Gather64<8>(reinterpret_cast<const long long*>(slots), idx_hi));
     for (int lane = 0; lane < 8; ++lane) {
       if (!lane_live[lane]) continue;
       const uint64_t s = fetched[lane];
